@@ -76,7 +76,6 @@ class RunConfig:
     seed: int | None = None
     alpha: float = 0.05
     output: str = "text"
-    threads: int = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     return parser
 
 
@@ -187,7 +186,6 @@ def _validate_config(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         alpha=args.alpha,
         output=args.output,
-        threads=args.threads,
     )
 
 
@@ -382,7 +380,6 @@ def run(config: RunConfig) -> int:
                 repetitions=config.repetitions,
                 seed=seed,
                 alpha=config.alpha,
-                threads=config.threads,
             )
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
             raise _Numerical(str(exc)) from exc
@@ -430,7 +427,6 @@ def run(config: RunConfig) -> int:
             repetitions=config.repetitions,
             seed=seed,
             alpha=config.alpha,
-            threads=config.threads,
             est=est,
         )
         H = statistic_covariance(spec, est)

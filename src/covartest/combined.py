@@ -3,26 +3,35 @@
 The statistic stacks the scaled differences of the d group variances and
 the d(d-1)/2 correlations.  Reference draws push per-group normal vectors
 on the covariance scale through the variance selector and the delta-method
-Jacobian.  A single miscoverage level beta is calibrated so that the
-familywise rejection rate over all components, estimated on the reference
-draws themselves, stays at the requested level; the componentwise bands
-are order-statistic quantiles of the draws.  Rejection of a block (the
-variance part or the correlation part) is inverted into a p-value on a
-grid, and the global p-value for equality of the two covariance matrices
-is the smaller of the two block p-values.
+Jacobian; all repetitions come from one generator rooted at the seed, a
+block of rows at a time, so a rerun with the same seed is byte-identical
+(``threads`` arguments are accepted and have no effect).  A single
+miscoverage level beta is calibrated so that the familywise rejection rate
+over all components, estimated on the reference draws themselves, stays at
+the requested level; the componentwise bands are order-statistic quantiles
+of the draws.  Rejection of a block (the variance part or the correlation
+part) is inverted into a p-value on a grid, and the global p-value for
+equality of the two covariance matrices is the smaller of the two block
+p-values.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _check_repetitions, _normalize_seed, _rep_rng
+from .engine import (
+    _FACTOR_CHUNK_ELEMENTS,
+    _check_repetitions,
+    _factor,
+    _normalize_seed,
+    _root_rng,
+    _row_blocks,
+)
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
-from .linalg import psd_factor, vech_diag_positions
+from .linalg import vech_diag_positions
 
 
 def combined_statistic(sample: GroupedSample, est: MomentEstimates | None = None) -> np.ndarray:
@@ -49,14 +58,15 @@ def simulate_reference(
     Per repetition and group, a normal vector with the estimated
     fourth-moment covariance is mapped to the variance/correlation scale by
     the stacked selector and Jacobian, then the two groups are differenced
-    with their sqrt(N/n_i) weights.
+    with their sqrt(N/n_i) weights.  ``threads`` has no effect.
     """
+    del threads
     if est.a != 2:
         raise ValueError(f"the combined test requires exactly two groups, got {est.a}")
     if not est.has_correlation:
         raise ValueError("estimates lack correlation components")
     _check_repetitions(B)
-    seed = _normalize_seed(seed)
+    rng = _root_rng(seed)
     N = est.N
     d = est.d
     p = est.p
@@ -64,32 +74,17 @@ def simulate_reference(
     selector = np.zeros((d, p))
     selector[np.arange(d), diag] = 1.0
     # draw matrices: each column of the per-group factor feeds a standard
-    # normal coordinate, so a draw is W_i @ z with z ~ N(0, I_p)
+    # normal coordinate, so a block of draws is G_0 W_0^T - G_1 W_1^T with
+    # standard normal G_i
     W = []
     for n_i, Sig, M in zip(est.n, est.Sigma, est.jacobian):
         A = np.vstack([selector, M])
-        W.append(np.sqrt(N / n_i) * (A @ psd_factor(Sig)))
-    P = W[0].shape[0]
+        W.append(np.sqrt(N / n_i) * (A @ _factor(Sig)))
 
-    out = np.empty((B, P))
-
-    def fill(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            rng = _rep_rng(seed, b)
-            draw = W[0] @ rng.standard_normal(p)
-            draw -= W[1] @ rng.standard_normal(p)
-            out[b] = draw
-
-    if threads <= 1:
-        fill(0, B)
-    else:
-        bounds = np.linspace(0, B, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(fill, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+    out = np.empty((B, W[0].shape[0]))
+    for lo, hi in _row_blocks(B, out.shape[1], _FACTOR_CHUNK_ELEMENTS):
+        out[lo:hi] = rng.standard_normal((hi - lo, W[0].shape[1])) @ W[0].T
+        out[lo:hi] -= rng.standard_normal((hi - lo, W[1].shape[1])) @ W[1].T
     return out
 
 
@@ -208,14 +203,15 @@ def combined_test(
     (step ``alpha_step``, default 1/B) at which the calibrated bands
     exclude some component of the block; the global p-value is their
     minimum.  ``beta_tilde`` reports the calibrated miscoverage at the
-    requested ``alpha``.
+    requested ``alpha``.  ``threads`` has no effect.
     """
+    del threads
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     seed = _normalize_seed(seed)
     est = pool_estimates(sample, include_correlation=True)
     T = combined_statistic(sample, est=est)
-    draws = simulate_reference(est, repetitions, seed, threads=threads)
+    draws = simulate_reference(est, repetitions, seed)
     B = repetitions
     if alpha_step is not None and not 0.0 < alpha_step <= 1.0:
         raise ValueError(f"alpha_step must lie in (0, 1], got {alpha_step}")

@@ -11,15 +11,18 @@ distribution is approximated by one of
 * ``TAY`` -- correlation targets only: normal draws on the covariance scale
   pushed through the delta-method linearization.
 
-All engines derive one substream per repetition from the root seed, so
-results do not depend on execution order or the degree of parallelism.
+Every engine draws all B repetitions from one generator rooted at the
+seed, with array operations over blocks of rows whose size depends only on
+the problem's dimensions, so a rerun with the same seed is byte-identical.
+BT draws from its exact law: for Gaussian pseudo-samples the redrawn mean
+and covariance are independent, so numerator and denominator are weighted
+chi-square sums.  ``threads`` arguments are accepted and have no effect.
 """
 
 from __future__ import annotations
 
 import secrets
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,11 @@ from .linalg import psd_factor
 
 _METHODS = ("MC", "BT", "TAY")
 
-_MC_CHUNK_ELEMENTS = 1 << 22
+# array entries per block of draws: chi-square draws in the weighted kernel,
+# and each m-wide temporary in the factor draws of TAY and the combined test;
+# the draws for a given seed depend on these sizes
+_CHUNK_ELEMENTS = 1 << 22
+_FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
 def fresh_seed() -> int:
@@ -47,31 +54,40 @@ def _normalize_seed(seed: int | None) -> int:
     return seed
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    # counter-based derivation: the stream of repetition b is a fixed
-    # function of (seed, b), independent of scheduling
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+def _root_rng(seed: int | None) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=_normalize_seed(seed)))
 
 
-def _run_reps(B: int, threads: int, body) -> np.ndarray:
+def _row_blocks(B: int, width: int, elements: int):
+    """Consecutive (lo, hi) ranges covering B rows of a width-wide array,
+    about ``elements`` entries at a time."""
+    step = max(elements // max(width, 1), 1)
+    for lo in range(0, B, step):
+        yield lo, min(lo + step, B)
+
+
+def _weighted_chisquare(
+    rng: np.random.Generator, B: int, weights: np.ndarray, df=1.0
+) -> np.ndarray:
+    """B draws of sum_k weights[k] chi2_{df[k]}; ``df`` is a scalar or one
+    value per weight."""
     out = np.empty(B)
-    if threads <= 1:
-        for b in range(B):
-            out[b] = body(b)
-        return out
-    bounds = np.linspace(0, B, threads + 1, dtype=int)
-
-    def work(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            out[b] = body(b)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(work, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for f in futures:
-            f.result()
+    for lo, hi in _row_blocks(B, len(weights), _CHUNK_ELEMENTS):
+        out[lo:hi] = rng.chisquare(df, size=(hi - lo, len(weights))) @ weights
     return out
+
+
+def _gram_spectrum(A: np.ndarray) -> np.ndarray:
+    """Nonzero eigenvalues of A @ A.T, taken from the smaller Gram matrix."""
+    w = np.linalg.eigvalsh(A.T @ A if A.shape[1] < A.shape[0] else A @ A.T)
+    return w[w > 1e-12 * w.max(initial=0.0)]
+
+
+def _factor(S: np.ndarray) -> np.ndarray:
+    """psd_factor(S) without the zero columns of clamped eigenvalues, which
+    would feed standard normal coordinates into nothing."""
+    L = psd_factor(S)
+    return L[:, L.any(axis=0)]
 
 
 def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
@@ -147,15 +163,7 @@ def mc_reference(
     tr = float(np.trace(H))
     _check_trace(tr, E, theta)
     lam = np.linalg.eigvalsh(H) / tr
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=_normalize_seed(seed)))
-    out = np.empty(B)
-    chunk = max(_MC_CHUNK_ELEMENTS // max(len(lam), 1), 1)
-    at = 0
-    while at < B:
-        take = min(chunk, B - at)
-        out[at:at + take] = rng.chisquare(1.0, size=(take, len(lam))) @ lam
-        at += take
-    return out
+    return _weighted_chisquare(_root_rng(seed), B, lam)
 
 
 def mc_pvalue(
@@ -172,18 +180,6 @@ def mc_pvalue(
     return float(np.mean(ref >= statistic))
 
 
-def _bootstrap_ingredients(spec: HypothesisSpec, est: MomentEstimates):
-    theta, _ = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
-    if spec.target == COVARIANCE:
-        dim, mats = est.p, est.Sigma
-    else:
-        dim, mats = est.p_strict, est.Upsilon
-    factors = [psd_factor(S) for S in mats]
-    blocks = [E[:, i * dim:(i + 1) * dim] for i in range(est.a)]
-    return E, dim, factors, blocks
-
-
 def bootstrap_reference(
     sample: GroupedSample,
     spec: HypothesisSpec,
@@ -194,37 +190,39 @@ def bootstrap_reference(
 ) -> np.ndarray:
     """Parametric-bootstrap draws of the statistic under the null.
 
-    Each repetition redraws every group from a centered normal with the
+    A repetition redraws every group from a centered normal with the
     estimated covariance (correlation-scale covariance for correlation
-    targets), then recomputes both the contrasted mean and the trace
-    denominator from the redrawn sample.
+    targets) and recomputes both the contrasted mean and the trace
+    denominator.  The redrawn mean and covariance of a normal sample are
+    independent, so with K_i = sqrt(N/n_i) E_i L_i the weighted contrasted
+    factor of group i the draws come from the statistic's exact law
+    sum_k w_k chi2_1 / sum_i sum_j mu_ij chi2_{n_i-1} / (n_i-1), where
+    w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).  ``threads`` has
+    no effect.
     """
+    del threads
     if est is None:
         est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
     _check_compatible(spec, est)
     _check_repetitions(B)
-    seed = _normalize_seed(seed)
-    _, dim, factors, blocks = _bootstrap_ingredients(spec, est)
-    n = est.n
+    theta, _ = _theta_and_pooled(spec, est)
+    _, E = _resolve(spec, theta)
+    if spec.target == COVARIANCE:
+        dim, mats = est.p, est.Sigma
+    else:
+        dim, mats = est.p_strict, est.Upsilon
     N = est.N
-    m = blocks[0].shape[0]
-
-    def body(b: int) -> float:
-        rng = _rep_rng(seed, b)
-        num = np.zeros(m)
-        denom = 0.0
-        for n_i, L, E_i in zip(n, factors, blocks):
-            Z = rng.standard_normal((n_i, dim)) @ L.T
-            zbar = Z.mean(axis=0)
-            Zc = Z - zbar
-            S = Zc.T @ Zc / (n_i - 1)
-            num += E_i @ zbar
-            denom += (N / n_i) * _trace_quad(E_i, S)
-        if not denom > 0.0:
-            raise ValueError("hypothesis covariance degenerate: zero trace")
-        return N * float(num @ num) / denom
-
-    return _run_reps(B, threads, body)
+    K = [
+        np.sqrt(N / n_i) * (E[:, i * dim:(i + 1) * dim] @ _factor(S))
+        for i, (n_i, S) in enumerate(zip(est.n, mats))
+    ]
+    _check_trace(sum(float((K_i * K_i).sum()) for K_i in K), E, theta)
+    w = _gram_spectrum(np.hstack(K))
+    mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(est.n, K)]
+    df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(est.n, mu)]
+    rng = _root_rng(seed)
+    num = _weighted_chisquare(rng, B, w)
+    return num / _weighted_chisquare(rng, B, np.concatenate(mu), np.concatenate(df))
 
 
 def bootstrap_pvalue(
@@ -255,15 +253,15 @@ def taylor_reference(
 
     Per repetition and group a normal vector on the covariance scale is
     mapped through the estimated Jacobian; the trace denominator stays
-    fixed at its observed value.
+    fixed at its observed value.  ``threads`` has no effect.
     """
+    del threads
     if spec.target != CORRELATION:
         raise ValueError("Taylor method applies to correlation targets only")
     if est is None:
         est = pool_estimates(sample, include_correlation=True)
     _check_compatible(spec, est)
     _check_repetitions(B)
-    seed = _normalize_seed(seed)
     theta, pooled = _theta_and_pooled(spec, est)
     _, E = _resolve(spec, theta)
     denom = _trace_quad(E, pooled)
@@ -271,22 +269,21 @@ def taylor_reference(
         raise ValueError("hypothesis covariance degenerate: zero trace")
     N = est.N
     ps = est.p_strict
-    p = est.p
-    # per group: contrast block times sqrt(N/n_i) M_i L_i, so each draw is
-    # a matrix-vector product with a standard normal
-    K = []
-    for i, (n_i, Sig, M) in enumerate(zip(est.n, est.Sigma, est.jacobian)):
-        L = psd_factor(Sig)
-        K.append(E[:, i * ps:(i + 1) * ps] @ (np.sqrt(N / n_i) * (M @ L)))
-
-    def body(b: int) -> float:
-        rng = _rep_rng(seed, b)
-        u = np.zeros(E.shape[0])
-        for K_i in K:
-            u += K_i @ rng.standard_normal(p)
-        return float(u @ u) / denom
-
-    return _run_reps(B, threads, body)
+    m = E.shape[0]
+    # per group: contrast block times sqrt(N/n_i) M_i L_i, so a block of
+    # draws is a sum of standard normal matrices times these factors
+    K = [
+        E[:, i * ps:(i + 1) * ps] @ (np.sqrt(N / n_i) * (M @ _factor(Sig)))
+        for i, (n_i, Sig, M) in enumerate(zip(est.n, est.Sigma, est.jacobian))
+    ]
+    rng = _root_rng(seed)
+    out = np.empty(B)
+    for lo, hi in _row_blocks(B, m, _FACTOR_CHUNK_ELEMENTS):
+        U = rng.standard_normal((hi - lo, K[0].shape[1])) @ K[0].T
+        for K_i in K[1:]:
+            U += rng.standard_normal((hi - lo, K_i.shape[1])) @ K_i.T
+        out[lo:hi] = np.einsum("ij,ij->i", U, U)
+    return out / denom
 
 
 def taylor_pvalue(
@@ -342,7 +339,11 @@ def run_test(
     threads: int = 1,
     est: MomentEstimates | None = None,
 ) -> TestReport:
-    """Full test run: estimate, contrast, resample, and summarize."""
+    """Full test run: estimate, contrast, resample, and summarize.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
+    del threads
     method = str(method).upper()
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(_METHODS)}")
@@ -357,9 +358,9 @@ def run_test(
     if method == "MC":
         ref = mc_reference(spec, est, repetitions, seed)
     elif method == "BT":
-        ref = bootstrap_reference(sample, spec, repetitions, seed, est=est, threads=threads)
+        ref = bootstrap_reference(sample, spec, repetitions, seed, est=est)
     else:
-        ref = taylor_reference(sample, spec, repetitions, seed, est=est, threads=threads)
+        ref = taylor_reference(sample, spec, repetitions, seed, est=est)
     return TestReport(
         statistic=observed,
         p_value=float(np.mean(ref >= observed)),

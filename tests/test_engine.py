@@ -163,6 +163,14 @@ class TestBootstrap:
         p = bootstrap_pvalue(sample, spec, B=600, seed=13)
         assert 0.0 <= p <= 1.0
 
+    def test_zero_trace_rejected(self, rng):
+        # two observations per group force a zero fourth-moment covariance,
+        # which rounding leaves as residue of order eps^2
+        sample = GroupedSample((rng.standard_normal((2, 2)), rng.standard_normal((2, 2))))
+        spec = predefined_hypothesis("equal", COVARIANCE, 2, 2)
+        with pytest.raises(ValueError, match="zero trace"):
+            bootstrap_reference(sample, spec, B=500, seed=1)
+
 
 class TestTaylor:
     def test_covariance_target_rejected(self, rng):
