@@ -429,7 +429,8 @@ def run(config: RunConfig) -> int:
             alpha=config.alpha,
             est=est,
         )
-        H = statistic_covariance(spec, est)
+        if config.output == "json":
+            H = statistic_covariance(spec, est)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise _Numerical(str(exc)) from exc
 

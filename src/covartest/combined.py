@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    _FACTOR_CHUNK_ELEMENTS,
     _check_repetitions,
-    _factor,
+    _check_trace,
+    _factor_draws,
     _normalize_seed,
     _root_rng,
-    _row_blocks,
 )
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .linalg import vech_diag_positions
@@ -58,7 +57,9 @@ def simulate_reference(
     Per repetition and group, a normal vector with the estimated
     fourth-moment covariance is mapped to the variance/correlation scale by
     the stacked selector and Jacobian, then the two groups are differenced
-    with their sqrt(N/n_i) weights.  ``threads`` has no effect.
+    with their sqrt(N/n_i) weights.  Weighted factors whose total trace is
+    rounding residue, by the relative rule of the Anova-type statistic,
+    raise ``ValueError``.  ``threads`` has no effect.
     """
     del threads
     if est.a != 2:
@@ -66,25 +67,20 @@ def simulate_reference(
     if not est.has_correlation:
         raise ValueError("estimates lack correlation components")
     _check_repetitions(B)
-    rng = _root_rng(seed)
-    N = est.N
-    d = est.d
-    p = est.p
-    diag = vech_diag_positions(d)
-    selector = np.zeros((d, p))
-    selector[np.arange(d), diag] = 1.0
-    # draw matrices: each column of the per-group factor feeds a standard
-    # normal coordinate, so a block of draws is G_0 W_0^T - G_1 W_1^T with
-    # standard normal G_i
-    W = []
-    for n_i, Sig, M in zip(est.n, est.Sigma, est.jacobian):
-        A = np.vstack([selector, M])
-        W.append(np.sqrt(N / n_i) * (A @ _factor(Sig)))
-
+    diag = vech_diag_positions(est.d)
+    # per group, the stacked selector and Jacobian A_i times the factor F_i
+    # is [F_i[diag]; M_i F_i], weighted by sqrt(N/n_i); a block of draws is
+    # Z_0 W_0^T - Z_1 W_1^T with standard normal Z_i
+    W = [
+        np.sqrt(est.N / n_i) * np.vstack([F[diag], MF])
+        for n_i, F, MF in zip(est.n, est.Sigma_factor, est.Upsilon_factor)
+    ]
+    # the rows of A_i are selector rows (entries 1) and Jacobian rows
+    A_max = np.array([1.0, *(np.abs(M).max() for M in est.jacobian)])
+    _check_trace(sum(float(np.vdot(W_i, W_i)) for W_i in W), A_max, est.vhat_pooled)
     out = np.empty((B, W[0].shape[0]))
-    for lo, hi in _row_blocks(B, out.shape[1], _FACTOR_CHUNK_ELEMENTS):
-        out[lo:hi] = rng.standard_normal((hi - lo, W[0].shape[1])) @ W[0].T
-        out[lo:hi] -= rng.standard_normal((hi - lo, W[1].shape[1])) @ W[1].T
+    for lo, hi, U in _factor_draws(_root_rng(seed), B, [W[0], -W[1]]):
+        out[lo:hi] = U
     return out
 
 

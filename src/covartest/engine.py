@@ -11,6 +11,14 @@ distribution is approximated by one of
 * ``TAY`` -- correlation targets only: normal draws on the covariance scale
   pushed through the delta-method linearization.
 
+Nothing here forms the dense pooled covariance.  With F_i the exact factor
+of group i's fourth-moment covariance (M_i F_i on the correlation scale)
+and E_i the contrast block of group i, the contrasted factor
+G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T: the trace
+is ||G||_F^2, the MC and BT weights are the nonzero eigenvalues of the
+smaller Gram matrix of G, and TAY draws G z.  A rank-deficient G feeds only
+its nonzero eigenvalues to the chi-square draws.
+
 Every engine draws all B repetitions from one generator rooted at the
 seed, with array operations over blocks of rows whose size depends only on
 the problem's dimensions, so a rerun with the same seed is byte-identical.
@@ -29,7 +37,6 @@ import numpy as np
 
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
-from .linalg import psd_factor
 
 _METHODS = ("MC", "BT", "TAY")
 
@@ -83,11 +90,15 @@ def _gram_spectrum(A: np.ndarray) -> np.ndarray:
     return w[w > 1e-12 * w.max(initial=0.0)]
 
 
-def _factor(S: np.ndarray) -> np.ndarray:
-    """psd_factor(S) without the zero columns of clamped eigenvalues, which
-    would feed standard normal coordinates into nothing."""
-    L = psd_factor(S)
-    return L[:, L.any(axis=0)]
+def _factor_draws(rng: np.random.Generator, B: int, factors):
+    """Blocks (lo, hi, U) of B rows of sum_i Z_i @ factors[i].T, with
+    standard normal Z_i drawn one factor after another per block."""
+    m = factors[0].shape[0]
+    for lo, hi in _row_blocks(B, m, _FACTOR_CHUNK_ELEMENTS):
+        U = rng.standard_normal((hi - lo, factors[0].shape[1])) @ factors[0].T
+        for F in factors[1:]:
+            U += rng.standard_normal((hi - lo, F.shape[1])) @ F.T
+        yield lo, hi, U
 
 
 def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
@@ -97,12 +108,6 @@ def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
         raise ValueError(f"hypothesis is for d={spec.d}, estimates have d={est.d}")
     if spec.target == CORRELATION and not est.has_correlation:
         raise ValueError("estimates lack correlation components")
-
-
-def _theta_and_pooled(spec: HypothesisSpec, est: MomentEstimates):
-    if spec.target == COVARIANCE:
-        return est.vhat_pooled, est.Sigma_pooled
-    return est.rhat_pooled, est.Upsilon_pooled
 
 
 def _resolve(spec: HypothesisSpec, theta: np.ndarray):
@@ -115,11 +120,6 @@ def _resolve(spec: HypothesisSpec, theta: np.ndarray):
     )
 
 
-def _trace_quad(E: np.ndarray, S: np.ndarray) -> float:
-    """trace(E @ S @ E.T) without forming the product."""
-    return float(((E @ S) * E).sum())
-
-
 def _check_trace(tr: float, E: np.ndarray, theta: np.ndarray) -> None:
     # an analytically zero estimator covariance leaves rounding residue of
     # order eps^2 relative to (|E| |theta|)^2, so the cutoff is relative,
@@ -129,40 +129,70 @@ def _check_trace(tr: float, E: np.ndarray, theta: np.ndarray) -> None:
         raise ValueError("hypothesis covariance degenerate: zero trace")
 
 
-def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:
-    """Covariance of the contrasted parameter estimate, E Sigma E^T."""
+@dataclass(frozen=True)
+class _Contrast:
+    """One hypothesis contrasted against one set of estimates.
+
+    ``u`` is the residual C f(theta) - zeta, ``K`` holds per group the
+    contrasted factor sqrt(N/n_i) E_i F_i and ``G`` stacks them side by
+    side; ``trace`` is ||G||_F^2, already checked against zero.
+    """
+
+    spec: HypothesisSpec
+    u: np.ndarray
+    K: tuple[np.ndarray, ...]
+    G: np.ndarray
+    trace: float
+
+
+def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
+    # the last contrast built is kept on the estimates, keyed by the
+    # hypothesis object, so that run_test's statistic and reference share
+    # one G
+    cached = est.__dict__.get("_contrast")
+    if cached is not None and cached.spec is spec:
+        return cached
     _check_compatible(spec, est)
-    theta, pooled = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
-    H = E @ pooled @ E.T
+    if spec.target == COVARIANCE:
+        theta, factors = est.vhat_pooled, est.Sigma_factor
+    else:
+        theta, factors = est.rhat_pooled, est.Upsilon_factor
+    u, E = _resolve(spec, theta)
+    dim = len(theta) // est.a
+    K = tuple(
+        np.sqrt(est.N / n_i) * (E[:, i * dim:(i + 1) * dim] @ F)
+        for i, (n_i, F) in enumerate(zip(est.n, factors))
+    )
+    G = np.hstack(K)
+    trace = float(np.vdot(G, G))
+    _check_trace(trace, E, theta)
+    c = _Contrast(spec, u, K, G, trace)
+    est.__dict__["_contrast"] = c
+    return c
+
+
+def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:
+    """Covariance of the contrasted parameter estimate, E Sigma E^T = G G^T."""
+    G = _contrast(spec, est).G
+    H = G @ G.T
     return (H + H.T) / 2.0
 
 
 def ats(spec: HypothesisSpec, est: MomentEstimates, N: int | None = None) -> float:
     """Observed value of the trace-normalized quadratic-form statistic."""
-    _check_compatible(spec, est)
+    c = _contrast(spec, est)
     if N is None:
         N = est.N
-    theta, pooled = _theta_and_pooled(spec, est)
-    u, E = _resolve(spec, theta)
-    denom = _trace_quad(E, pooled)
-    _check_trace(denom, E, theta)
-    return float(N * (u @ u) / denom)
+    return float(N * (c.u @ c.u) / c.trace)
 
 
 def mc_reference(
     spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int
 ) -> np.ndarray:
     """B draws from the estimated weighted chi-square limit distribution."""
-    _check_compatible(spec, est)
+    c = _contrast(spec, est)
     _check_repetitions(B)
-    theta, pooled = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
-    H = E @ pooled @ E.T
-    H = (H + H.T) / 2.0
-    tr = float(np.trace(H))
-    _check_trace(tr, E, theta)
-    lam = np.linalg.eigvalsh(H) / tr
+    lam = _gram_spectrum(c.G) / c.trace
     return _weighted_chisquare(_root_rng(seed), B, lam)
 
 
@@ -194,7 +224,7 @@ def bootstrap_reference(
     estimated covariance (correlation-scale covariance for correlation
     targets) and recomputes both the contrasted mean and the trace
     denominator.  The redrawn mean and covariance of a normal sample are
-    independent, so with K_i = sqrt(N/n_i) E_i L_i the weighted contrasted
+    independent, so with K_i = sqrt(N/n_i) E_i F_i the weighted contrasted
     factor of group i the draws come from the statistic's exact law
     sum_k w_k chi2_1 / sum_i sum_j mu_ij chi2_{n_i-1} / (n_i-1), where
     w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).  ``threads`` has
@@ -203,22 +233,10 @@ def bootstrap_reference(
     del threads
     if est is None:
         est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
-    _check_compatible(spec, est)
+    c = _contrast(spec, est)
     _check_repetitions(B)
-    theta, _ = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
-    if spec.target == COVARIANCE:
-        dim, mats = est.p, est.Sigma
-    else:
-        dim, mats = est.p_strict, est.Upsilon
-    N = est.N
-    K = [
-        np.sqrt(N / n_i) * (E[:, i * dim:(i + 1) * dim] @ _factor(S))
-        for i, (n_i, S) in enumerate(zip(est.n, mats))
-    ]
-    _check_trace(sum(float((K_i * K_i).sum()) for K_i in K), E, theta)
-    w = _gram_spectrum(np.hstack(K))
-    mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(est.n, K)]
+    w = _gram_spectrum(c.G)
+    mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(est.n, c.K)]
     df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(est.n, mu)]
     rng = _root_rng(seed)
     num = _weighted_chisquare(rng, B, w)
@@ -260,30 +278,12 @@ def taylor_reference(
         raise ValueError("Taylor method applies to correlation targets only")
     if est is None:
         est = pool_estimates(sample, include_correlation=True)
-    _check_compatible(spec, est)
+    c = _contrast(spec, est)
     _check_repetitions(B)
-    theta, pooled = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
-    denom = _trace_quad(E, pooled)
-    if not denom > 0.0:
-        raise ValueError("hypothesis covariance degenerate: zero trace")
-    N = est.N
-    ps = est.p_strict
-    m = E.shape[0]
-    # per group: contrast block times sqrt(N/n_i) M_i L_i, so a block of
-    # draws is a sum of standard normal matrices times these factors
-    K = [
-        E[:, i * ps:(i + 1) * ps] @ (np.sqrt(N / n_i) * (M @ _factor(Sig)))
-        for i, (n_i, Sig, M) in enumerate(zip(est.n, est.Sigma, est.jacobian))
-    ]
-    rng = _root_rng(seed)
     out = np.empty(B)
-    for lo, hi in _row_blocks(B, m, _FACTOR_CHUNK_ELEMENTS):
-        U = rng.standard_normal((hi - lo, K[0].shape[1])) @ K[0].T
-        for K_i in K[1:]:
-            U += rng.standard_normal((hi - lo, K_i.shape[1])) @ K_i.T
+    for lo, hi, U in _factor_draws(_root_rng(seed), B, c.K):
         out[lo:hi] = np.einsum("ij,ij->i", U, U)
-    return out / denom
+    return out / c.trace
 
 
 def taylor_pvalue(

@@ -2,16 +2,20 @@
 
 Observations are stored column-wise: each group is a d x n_i array whose
 columns are independent subjects.  The estimators produce, per group, the
-half-vectorized covariance ``vhat`` and correlation ``rhat``, the empirical
-fourth-moment covariance ``Sigma`` of ``sqrt(n) * vhat``, the delta-method
-Jacobian mapping covariance coordinates to correlation coordinates, and the
-implied correlation-scale covariance ``Upsilon``.  Pooling stacks groups
-block-diagonally with weights N/n_i.
+half-vectorized covariance ``vhat`` and correlation ``rhat``, an exact
+factor F_i of the empirical fourth-moment covariance ``Sigma`` of
+``sqrt(n) * vhat`` (F_i F_i^T = Sigma_i, at most min(n_i, p) columns), and
+the delta-method Jacobian M_i mapping covariance coordinates to correlation
+coordinates, so that M_i F_i factors the correlation-scale covariance
+``Upsilon``.  The engines work on these factors alone.  The dense per-group
+matrices and their block-diagonal pools with weights N/n_i are built on
+first access only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +90,18 @@ def group_cov_vector(X) -> HalfVec:
     return vech((S + S.T) / 2.0)
 
 
+def _outer_product_contributions(X) -> np.ndarray:
+    """p x n matrix whose k-th column is vech of the k-th centered outer
+    product, recentered by the group mean of those outer products."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise ValueError("fourth-moment covariance needs a d x n array with n >= 2")
+    Xc = X - X.mean(axis=1, keepdims=True)
+    rows, cols = vech_pairs(X.shape[0])
+    W = Xc[rows] * Xc[cols]
+    return W - W.mean(axis=1, keepdims=True)
+
+
 def group_fourth_moment_cov(X) -> np.ndarray:
     """Empirical covariance of sqrt(n) times the half-vectorized covariance.
 
@@ -94,17 +110,26 @@ def group_fourth_moment_cov(X) -> np.ndarray:
     the estimator is the outer-product average of these contributions with
     divisor n - 1.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError("fourth-moment covariance needs a d x n array with n >= 2")
-    n = X.shape[1]
-    Xc = X - X.mean(axis=1, keepdims=True)
-    rows, cols = vech_pairs(X.shape[0])
-    # column k holds vech of the outer product of the k-th centered column
-    W = Xc[rows] * Xc[cols]
-    Wc = W - W.mean(axis=1, keepdims=True)
-    S = Wc @ Wc.T / (n - 1)
+    Wc = _outer_product_contributions(X)
+    S = Wc @ Wc.T / (Wc.shape[1] - 1)
     return (S + S.T) / 2.0
+
+
+def group_fourth_moment_factor(X) -> np.ndarray:
+    """Exact factor F of the fourth-moment covariance, F @ F.T = Sigma.
+
+    The narrower of two exact factors, chosen by the group's shape: with
+    n <= p the recentered contributions over sqrt(n - 1) (n columns);
+    otherwise the eigenvectors of the p x p estimate scaled by the roots of
+    their eigenvalues, dropping those that rounding left at or below zero.
+    """
+    Wc = _outer_product_contributions(X)
+    p, n = Wc.shape
+    if n <= p:
+        return Wc / np.sqrt(n - 1)
+    w, Q = np.linalg.eigh(Wc @ Wc.T / (n - 1))
+    keep = w > 0.0
+    return Q[:, keep] * np.sqrt(w[keep])
 
 
 def group_corr_vector(X) -> HalfVec:
@@ -164,17 +189,19 @@ def group_upsilon(Sigma, M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentEstimates:
-    """Per-group and pooled moment estimates for one grouped sample."""
+    """Per-group moment estimates for one grouped sample.
+
+    ``Sigma_factor`` holds exact factors of the fourth-moment covariances;
+    ``Sigma``, ``Upsilon`` and their block-diagonal pools are dense
+    matrices built from them on first access.
+    """
 
     d: int
     n: tuple[int, ...]
     vhat: tuple[HalfVec, ...]
-    Sigma: tuple[np.ndarray, ...]
-    Sigma_pooled: np.ndarray
+    Sigma_factor: tuple[np.ndarray, ...]
     rhat: tuple[HalfVec, ...] | None = None
     jacobian: tuple[np.ndarray, ...] | None = None
-    Upsilon: tuple[np.ndarray, ...] | None = None
-    Upsilon_pooled: np.ndarray | None = None
 
     @property
     def a(self) -> int:
@@ -206,9 +233,36 @@ class MomentEstimates:
     def has_correlation(self) -> bool:
         return self.rhat is not None
 
+    @cached_property
+    def Upsilon_factor(self) -> tuple[np.ndarray, ...] | None:
+        """Factors M_i F_i of the correlation-scale covariances."""
+        if self.jacobian is None:
+            return None
+        return tuple(M @ F for M, F in zip(self.jacobian, self.Sigma_factor))
+
+    @cached_property
+    def Sigma(self) -> tuple[np.ndarray, ...]:
+        return tuple(F @ F.T for F in self.Sigma_factor)
+
+    @cached_property
+    def Upsilon(self) -> tuple[np.ndarray, ...] | None:
+        if self.Upsilon_factor is None:
+            return None
+        return tuple(F @ F.T for F in self.Upsilon_factor)
+
+    @cached_property
+    def Sigma_pooled(self) -> np.ndarray:
+        return block_diag(self.Sigma, [self.N / n_i for n_i in self.n])
+
+    @cached_property
+    def Upsilon_pooled(self) -> np.ndarray | None:
+        if self.Upsilon is None:
+            return None
+        return block_diag(self.Upsilon, [self.N / n_i for n_i in self.n])
+
 
 def pool_estimates(sample: GroupedSample, include_correlation: bool | None = None) -> MomentEstimates:
-    """All per-group estimates plus the pooled block-diagonal covariances.
+    """All per-group estimates, with the fourth-moment covariances as factors.
 
     Correlation-scale quantities are included when ``include_correlation``
     is true; the default computes them whenever d >= 2.
@@ -216,25 +270,14 @@ def pool_estimates(sample: GroupedSample, include_correlation: bool | None = Non
     if include_correlation is None:
         include_correlation = sample.d >= 2
     vhat = tuple(group_cov_vector(g) for g in sample.groups)
-    Sigma = tuple(group_fourth_moment_cov(g) for g in sample.groups)
-    N = sample.N
-    weights = [N / n_i for n_i in sample.n]
-    Sigma_pooled = block_diag(Sigma, weights)
+    factors = tuple(group_fourth_moment_factor(g) for g in sample.groups)
     if not include_correlation:
-        return MomentEstimates(
-            d=sample.d, n=sample.n, vhat=vhat, Sigma=Sigma, Sigma_pooled=Sigma_pooled
-        )
-    rhat = tuple(group_corr_vector(g) for g in sample.groups)
-    jac = tuple(correlation_jacobian(v) for v in vhat)
-    Upsilon = tuple(group_upsilon(S, M) for S, M in zip(Sigma, jac))
+        return MomentEstimates(d=sample.d, n=sample.n, vhat=vhat, Sigma_factor=factors)
     return MomentEstimates(
         d=sample.d,
         n=sample.n,
         vhat=vhat,
-        Sigma=Sigma,
-        Sigma_pooled=Sigma_pooled,
-        rhat=rhat,
-        jacobian=jac,
-        Upsilon=Upsilon,
-        Upsilon_pooled=block_diag(Upsilon, weights),
+        Sigma_factor=factors,
+        rhat=tuple(group_corr_vector(g) for g in sample.groups),
+        jacobian=tuple(correlation_jacobian(v) for v in vhat),
     )

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from covartest.estimation import MomentEstimates, correlation_jacobian, group_upsilon
-from covartest.linalg import block_diag, vech, vech_strict
+from covartest.estimation import MomentEstimates, correlation_jacobian
+from covartest.linalg import vech, vech_strict
 
 settings.register_profile(
     "suite",
@@ -41,8 +41,9 @@ def synthetic_estimates(
     """Moment estimates with prescribed covariance (or correlation) matrices.
 
     The fourth-moment covariances are arbitrary well-conditioned SPD
-    matrices; they only enter the statistic through the trace denominator,
-    so any choice exercises the contrast residual exactly.
+    matrices, given by their Cholesky factors; they only enter the
+    statistic through the trace denominator, so any choice exercises the
+    contrast residual exactly.
     """
     if vmats is None:
         # correlation-only usage: the covariance equals the correlation
@@ -51,32 +52,21 @@ def synthetic_estimates(
     d = vmats[0].shape[0]
     p = d * (d + 1) // 2
     vhat = tuple(vech(V) for V in vmats)
-    Sigma = tuple(make_spd(rng, p) for _ in range(a))
-    N = sum(n)
-    weights = [N / n_i for n_i in n]
+    factors = tuple(np.linalg.cholesky(make_spd(rng, p)) for _ in range(a))
     if d < 2:
-        return MomentEstimates(
-            d=d, n=tuple(n), vhat=vhat, Sigma=Sigma,
-            Sigma_pooled=block_diag(Sigma, weights),
-        )
+        return MomentEstimates(d=d, n=tuple(n), vhat=vhat, Sigma_factor=factors)
     if rmats is None:
         rmats = []
         for V in vmats:
             sd = np.sqrt(np.diag(V))
             rmats.append(V / np.outer(sd, sd))
-    rhat = tuple(vech_strict(R) for R in rmats)
-    jac = tuple(correlation_jacobian(v) for v in vhat)
-    Upsilon = tuple(group_upsilon(S, M) for S, M in zip(Sigma, jac))
     return MomentEstimates(
         d=d,
         n=tuple(n),
         vhat=vhat,
-        Sigma=Sigma,
-        Sigma_pooled=block_diag(Sigma, weights),
-        rhat=rhat,
-        jacobian=jac,
-        Upsilon=Upsilon,
-        Upsilon_pooled=block_diag(Upsilon, weights),
+        Sigma_factor=factors,
+        rhat=tuple(vech_strict(R) for R in rmats),
+        jacobian=tuple(correlation_jacobian(v) for v in vhat),
     )
 
 

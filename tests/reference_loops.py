@@ -4,9 +4,12 @@ These are the original BT, TAY, combined and MC draw loops of
 ``covartest.engine`` and ``covartest.combined``: every repetition derives
 its own generator from ``(seed, repetition)`` and redraws the groups (BT)
 or the normal vectors (TAY, combined) one at a time.  The package now draws
-all repetitions at once from one root stream; the tests compare the laws
-of the two (two-sample KS) and, for MC, whose stream did not change, the
-exact bytes.  Worker threads are left out: they never changed the output.
+all repetitions at once from one root stream, on exact factors of the
+fourth-moment covariances; these loops still read the dense pooled
+covariances through their own ``_theta_and_pooled`` and take factors from
+``psd_factor``, so they stay independent of that path.  The tests compare
+the laws of the two by two-sample KS tests.  Worker threads are left out:
+they never changed the output.
 """
 
 from __future__ import annotations
@@ -19,14 +22,23 @@ from covartest.engine import (
     _check_trace,
     _normalize_seed,
     _resolve,
-    _theta_and_pooled,
-    _trace_quad,
 )
 from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
 from covartest.hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
 from covartest.linalg import psd_factor, vech_diag_positions
 
 _MC_CHUNK_ELEMENTS = 1 << 22
+
+
+def _theta_and_pooled(spec: HypothesisSpec, est: MomentEstimates):
+    if spec.target == COVARIANCE:
+        return est.vhat_pooled, est.Sigma_pooled
+    return est.rhat_pooled, est.Upsilon_pooled
+
+
+def _trace_quad(E: np.ndarray, S: np.ndarray) -> float:
+    """trace(E @ S @ E.T) without forming the product."""
+    return float(((E @ S) * E).sum())
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:

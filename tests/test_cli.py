@@ -433,6 +433,21 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("covartest: error: numerical: ")
 
+    def test_degenerate_combined_exits_numerical(self, tmp_path, capsys):
+        # groups 1,1,2,2 at d = 3: the fourth-moment covariances are
+        # rounding residue, so no band can be calibrated
+        path = tmp_path / "d.csv"
+        rows = ["0.3,1.2,-0.7,1", "1.1,-0.4,0.9,1", "-0.8,0.5,2.2,2", "0.6,1.7,0.1,2"]
+        path.write_text("x1,x2,x3,g\n" + "\n".join(rows) + "\n")
+        code = main(["--data", str(path), "--group-column", "g", "--target", "combined",
+                     "--repetitions", "500", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("covartest: error: numerical: ")
+        assert "zero trace" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_constant_variable_with_correlation_target(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         rows = "".join(f"1,{v}\n" for v in np.linspace(0.0, 1.0, 12))

@@ -1,0 +1,197 @@
+"""The factored statistic against a dense oracle, and what the engines build.
+
+The engines never form the pooled a*p x a*p covariance: they work on the
+contrasted factor G = [sqrt(N/n_i) E_i F_i] with G G^T = E Sigma_pooled E^T.
+Here the statistic, its covariance H and the MC weights are checked against
+H built densely inside the test from ``group_fourth_moment_cov`` and
+``scipy.linalg.block_diag``, for groups narrower and wider than p.  A guard
+checks that the test entry points leave the dense matrices unbuilt and never
+take an eigendecomposition wider than the sample when n_i <= p.
+"""
+
+import io
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import covartest.cli as cli
+from covartest.combined import combined_test
+from covartest.engine import (
+    _contrast,
+    _gram_spectrum,
+    ats,
+    run_test,
+    statistic_covariance,
+    taylor_reference,
+)
+from covartest.estimation import (
+    GroupedSample,
+    MomentEstimates,
+    correlation_jacobian,
+    group_corr_vector,
+    group_cov_vector,
+    group_fourth_moment_cov,
+    group_fourth_moment_factor,
+    pool_estimates,
+)
+from covartest.hypotheses import (
+    CORRELATION,
+    COVARIANCE,
+    predefined_hypothesis,
+    structure_hypothesis,
+)
+from covartest.linalg import full_length
+from conftest import gaussian_sample, make_spd
+
+REL = 1e-10
+
+
+def sample_of(seed, d, n):
+    rng = np.random.default_rng(seed)
+    V = make_spd(rng, d)
+    return GroupedSample(tuple(gaussian_sample(rng, V, n_i) for n_i in n))
+
+
+def dense_oracle(spec, sample):
+    """Statistic and H = E block_diag(N/n_i Sigma_i) E^T, built densely."""
+    groups, N = sample.groups, sample.N
+    S = [group_fourth_moment_cov(X) for X in groups]
+    if spec.target == COVARIANCE:
+        theta = np.concatenate([group_cov_vector(X).values for X in groups])
+    else:
+        theta = np.concatenate([group_corr_vector(X).values for X in groups])
+        M = [correlation_jacobian(group_cov_vector(X)) for X in groups]
+        S = [M_i @ S_i @ M_i.T for M_i, S_i in zip(M, S)]
+    pooled = scipy.linalg.block_diag(*[(N / X.shape[1]) * S_i for X, S_i in zip(groups, S)])
+    if spec.transform is None:
+        u, E = spec.C @ theta - spec.zeta, spec.C
+    else:
+        u = spec.C @ spec.transform.map(theta) - spec.zeta
+        E = spec.C @ spec.transform.jacobian(theta)
+    H = E @ pooled @ E.T
+    return N * float(u @ u) / np.trace(H), H
+
+
+CASES = [
+    (COVARIANCE, "equal", 4, (6, 8)),  # p = 10: both groups narrower
+    (COVARIANCE, "equal", 3, (30, 40)),  # p = 6: both wider
+    (COVARIANCE, "equal", 4, (6, 40)),  # one of each
+    (CORRELATION, "equal-correlated", 4, (5, 7)),
+    (CORRELATION, "equal-correlated", 5, (8, 50)),
+    (CORRELATION, "hautoregressive", 5, (9,)),  # carries a transform
+    (CORRELATION, "hautoregressive", 4, (80,)),
+]
+IDS = ["cov-narrow", "cov-wide", "cov-mixed", "corr-narrow", "corr-mixed",
+       "har-narrow", "har-wide"]
+
+
+def spec_for(target, name, d, a):
+    if name == "hautoregressive":
+        return structure_hypothesis(name, target, d)
+    return predefined_hypothesis(name, target, a, d)
+
+
+@pytest.mark.parametrize("target, name, d, n", CASES, ids=IDS)
+def test_factored_statistic_matches_dense_oracle(target, name, d, n):
+    sample = sample_of(31 * d + sum(n), d, n)
+    spec = spec_for(target, name, d, len(n))
+    stat, H = dense_oracle(spec, sample)
+    est = pool_estimates(sample, include_correlation=target == CORRELATION)
+    scale = np.abs(H).max()
+
+    assert abs(ats(spec, est) - stat) <= REL * stat
+    assert np.abs(statistic_covariance(spec, est) - H).max() <= REL * scale
+
+    # MC weights: the nonzero eigenvalues of H over its trace; whatever the
+    # Gram spectrum leaves out carries no trace
+    c = _contrast(spec, est)
+    lam = _gram_spectrum(c.G) / c.trace
+    dense = np.linalg.eigvalsh(H) / np.trace(H)
+    assert len(lam) <= min(spec.m, sum(n))
+    assert np.abs(lam - dense[-len(lam):]).max() <= REL * dense[-1]
+    assert abs(dense[:-len(lam)].sum()) <= REL
+
+
+@pytest.mark.parametrize("d, n", [(4, 6), (3, 30)], ids=["narrow", "wide"])
+def test_fourth_moment_factor_is_exact_and_narrow(d, n):
+    X = sample_of(d + n, d, (n,)).groups[0]
+    F = group_fourth_moment_factor(X)
+    S = group_fourth_moment_cov(X)
+    p = full_length(d)
+    assert F.shape[0] == p and F.shape[1] <= min(n, p)
+    assert np.abs(F @ F.T - S).max() <= REL * np.abs(S).max()
+
+
+def test_taylor_reference_rejects_zero_trace(rng):
+    # two observations per group: the fourth-moment covariances are
+    # rounding residue, which the relative zero-trace rule catches
+    sample = GroupedSample((rng.standard_normal((3, 2)), rng.standard_normal((3, 2))))
+    spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
+    est = pool_estimates(sample)
+    with pytest.raises(ValueError, match="zero trace"):
+        taylor_reference(sample, spec, B=500, seed=1, est=est)
+
+
+# ------------------------------------------------------------------ guard
+
+DENSE = ("Sigma", "Upsilon", "Sigma_pooled", "Upsilon_pooled")
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """Names of dense matrices built and shapes of eigenproblems solved."""
+    seen = {"built": [], "eig": []}
+    for name in DENSE:
+        lazy = MomentEstimates.__dict__[name]
+
+        def get(self, lazy=lazy, name=name):
+            seen["built"].append(name)
+            return lazy.__get__(self, MomentEstimates)
+
+        monkeypatch.setattr(MomentEstimates, name, property(get))
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def eig(a, *args, original=original, **kwargs):
+            seen["eig"].append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, eig)
+    return seen
+
+
+def test_entry_points_build_no_dense_matrix(watched, tmp_path):
+    # d = 10 (p = 55, 45 correlation coordinates) and three groups of 12:
+    # every factor is the 12-column outer-product matrix, so no
+    # eigenproblem may be wider than the 36 observations
+    sample = sample_of(909, 10, (12, 12, 12))
+    for target, name, methods in (
+        (COVARIANCE, "equal", ("MC", "BT")),
+        (CORRELATION, "equal-correlated", ("MC", "BT", "TAY")),
+    ):
+        spec = predefined_hypothesis(name, target, 3, 10)
+        for method in methods:
+            run_test(sample, spec, method=method, repetitions=500, seed=4)
+    combined_test(GroupedSample(sample.groups[:2]), repetitions=500, seed=5)
+
+    path = tmp_path / "narrow.csv"
+    rows = np.hstack(sample.groups).T
+    labels = np.repeat(["a", "b", "c"], 12)
+    path.write_text("".join(
+        [",".join(f"x{j}" for j in range(10)) + ",g\n"]
+        + [",".join(repr(float(v)) for v in row) + f",{lab}\n" for row, lab in zip(rows, labels)]
+    ))
+    for argv in (
+        ["--target", "covariance", "--hypothesis", "equal", "--output", "json"],
+        ["--target", "correlation", "--hypothesis", "equal-correlated", "--method", "TAY"],
+    ):
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["--data", str(path), "--group-column", "g",
+                             "--repetitions", "500", "--seed", "6", *argv])
+        assert code == 0
+
+    assert watched["built"] == []
+    assert watched["eig"], "the engines solved no eigenproblem at all"
+    assert all(len(s) == 2 and s[0] == s[1] <= 36 for s in watched["eig"]), watched["eig"]

@@ -3,8 +3,9 @@
 BT, TAY and the combined test now draw every repetition from one root
 stream, so their draws differ from the loops' draws; their laws must not.
 Each case compares 10 000 draws of both by a two-sample KS test at fixed
-seeds.  The MC stream did not change, so its draws must match the loop's
-byte for byte.
+seeds.  MC draws one chi-square per nonzero eigenvalue of the contrasted
+covariance, not one per contrast row as the dense loop does, so its law is
+compared the same way and its stream is pinned byte for byte on its own.
 """
 
 import numpy as np
@@ -12,7 +13,13 @@ import pytest
 from scipy import stats
 
 from covartest.combined import simulate_reference
-from covartest.engine import bootstrap_reference, mc_reference, taylor_reference
+from covartest.engine import (
+    _contrast,
+    _gram_spectrum,
+    bootstrap_reference,
+    mc_reference,
+    taylor_reference,
+)
 from covartest.estimation import GroupedSample, pool_estimates
 from covartest.hypotheses import (
     COVARIANCE,
@@ -112,11 +119,44 @@ def test_combined_law_matches_loop_per_component():
         assert_same_law(new[:, j], old[:, j])
 
 
-def test_mc_stream_is_unchanged_across_a_chunk_boundary():
-    # 156 weights x 30 000 draws exceeds the 2**22-element chunk
-    est = pool_estimates(sample_of(505, 12, (40, 40)), include_correlation=False)
+@pytest.mark.parametrize(
+    "target, name, d, n",
+    [
+        # 12 observations against 21 covariance coordinates: rank-deficient
+        (COVARIANCE, "equal", 6, (12, 40)),
+        (CORRELATION, "equal-correlated", 5, (35, 45)),
+    ],
+    ids=["covariance-rank-deficient", "correlation"],
+)
+def test_mc_law_matches_dense_loop(target, name, d, n):
+    sample = sample_of(707 + d, d, n)
+    spec = predefined_hypothesis(name, target, len(n), d)
+    est = pool_estimates(sample, include_correlation=target == CORRELATION)
+    assert_same_law(
+        mc_reference(spec, est, B=B, seed=18),
+        mc_reference_loop(spec, est, B=B, seed=19),
+    )
+
+
+def test_mc_stream_is_pinned_across_a_chunk_boundary():
+    # two groups of 40 against 78 covariance coordinates leave 78 nonzero
+    # weights; 78 x 60 000 draws exceeds the 2**22-element chunk
+    sample = sample_of(505, 12, (40, 40))
     spec = predefined_hypothesis("equal", COVARIANCE, 2, 12)
-    Bmc = 30_000
-    assert Bmc * spec.m > 1 << 22
+    Bmc = 60_000
+    est = pool_estimates(sample, include_correlation=False)
+    c = _contrast(spec, est)
+    lam = _gram_spectrum(c.G) / c.trace
+    assert Bmc * len(lam) > 1 << 22
     new = mc_reference(spec, est, Bmc, seed=15)
-    assert new.tobytes() == mc_reference_loop(spec, est, Bmc, seed=15).tobytes()
+    rerun = mc_reference(spec, pool_estimates(sample, include_correlation=False), Bmc, seed=15)
+    assert new.tobytes() == rerun.tobytes()
+    # the contract: one root stream, chi-square(1) rows in blocks of
+    # 2**22 // len(lam)
+    rng = np.random.default_rng(np.random.SeedSequence(15))
+    step = (1 << 22) // len(lam)
+    expect = np.concatenate([
+        rng.chisquare(1.0, size=(min(step, Bmc - lo), len(lam))) @ lam
+        for lo in range(0, Bmc, step)
+    ])
+    assert new.tobytes() == expect.tobytes()
