@@ -1,54 +1,13 @@
 """Resampling-based tests for covariance and correlation matrix hypotheses."""
 
-from .combined import (
-    CombinedReport,
-    calibrate_beta,
-    calibration_rejection_rate,
-    combined_statistic,
-    combined_test,
-    reference_bands,
-    simulate_reference,
-)
-from .engine import (
-    TestReport,
-    ats,
-    bootstrap_pvalue,
-    bootstrap_reference,
-    fresh_seed,
-    mc_pvalue,
-    mc_reference,
-    run_test,
-    statistic_covariance,
-    taylor_pvalue,
-    taylor_reference,
-)
-from .estimation import (
-    GroupedSample,
-    MomentEstimates,
-    correlation_jacobian,
-    group_corr_vector,
-    group_cov_vector,
-    group_fourth_moment_cov,
-    group_upsilon,
-    pool_estimates,
-)
+from .combined import CombinedReport, combined_test
+from .engine import TestReport, run_test, statistic_covariance
+from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .hypotheses import (
     HypothesisSpec,
-    TransformSpec,
     custom_hypothesis,
     predefined_hypothesis,
     structure_hypothesis,
-)
-from .linalg import (
-    HalfVec,
-    block_diag,
-    centering_matrix,
-    kron,
-    psd_factor,
-    sym_eigenvalues,
-    unvech,
-    vech,
-    vech_strict,
 )
 
 __version__ = "0.1.0"
@@ -56,42 +15,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CombinedReport",
     "GroupedSample",
-    "HalfVec",
     "HypothesisSpec",
     "MomentEstimates",
     "TestReport",
-    "TransformSpec",
-    "ats",
-    "block_diag",
-    "bootstrap_pvalue",
-    "bootstrap_reference",
-    "calibrate_beta",
-    "calibration_rejection_rate",
-    "centering_matrix",
-    "combined_statistic",
     "combined_test",
-    "correlation_jacobian",
     "custom_hypothesis",
-    "fresh_seed",
-    "group_corr_vector",
-    "group_cov_vector",
-    "group_fourth_moment_cov",
-    "group_upsilon",
-    "kron",
-    "mc_pvalue",
-    "mc_reference",
     "pool_estimates",
     "predefined_hypothesis",
-    "psd_factor",
-    "reference_bands",
     "run_test",
-    "simulate_reference",
     "statistic_covariance",
     "structure_hypothesis",
-    "sym_eigenvalues",
-    "taylor_pvalue",
-    "taylor_reference",
-    "unvech",
-    "vech",
-    "vech_strict",
 ]

@@ -4,20 +4,18 @@ The statistic stacks the scaled differences of the d group variances and
 the d(d-1)/2 correlations.  Reference draws push per-group normal vectors
 on the covariance scale through the variance selector and the delta-method
 Jacobian; all repetitions come from one generator rooted at the seed, a
-block of rows at a time, so a rerun with the same seed is byte-identical
-(``threads`` arguments are accepted and have no effect).  A single
-miscoverage level beta is calibrated so that the familywise rejection rate
-over all components, estimated on the reference draws themselves, stays at
-the requested level; the componentwise bands are order-statistic quantiles
-of the draws.  Rejection of a block (the variance part or the correlation
-part) is inverted into a p-value on a grid, and the global p-value for
-equality of the two covariance matrices is the smaller of the two block
-p-values.
+block of rows at a time, so a rerun with the same seed is byte-identical.
+A single miscoverage level beta is calibrated so that the familywise
+rejection rate over all components, estimated on the reference draws
+themselves, stays at the requested level; the componentwise bands are
+order-statistic quantiles of the draws.  Rejection of a block (the
+variance part or the correlation part) is inverted into a p-value on the
+grid of steps 1/B, and the global p-value for equality of the two
+covariance matrices is the smaller of the two block p-values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +23,16 @@ import numpy as np
 from .engine import (
     _check_repetitions,
     _check_trace,
-    _factor_draws,
     _normalize_seed,
     _root_rng,
+    _row_blocks,
 )
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .linalg import vech_diag_positions
+
+# array entries per m-wide temporary in a block of reference draws; the
+# draws for a given seed depend on this size
+_FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
 def combined_statistic(sample: GroupedSample, est: MomentEstimates | None = None) -> np.ndarray:
@@ -49,9 +51,18 @@ def combined_statistic(sample: GroupedSample, est: MomentEstimates | None = None
     return np.sqrt(est.N) * (parts[0] - parts[1])
 
 
-def simulate_reference(
-    est: MomentEstimates, B: int, seed: int, threads: int = 1
-) -> np.ndarray:
+def _factor_draws(rng: np.random.Generator, B: int, factors):
+    """Blocks (lo, hi, U) of B rows of sum_i Z_i @ factors[i].T, with
+    standard normal Z_i drawn one factor after another per block."""
+    m = factors[0].shape[0]
+    for lo, hi in _row_blocks(B, m, _FACTOR_CHUNK_ELEMENTS):
+        U = rng.standard_normal((hi - lo, factors[0].shape[1])) @ factors[0].T
+        for F in factors[1:]:
+            U += rng.standard_normal((hi - lo, F.shape[1])) @ F.T
+        yield lo, hi, U
+
+
+def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     """B reference draws of the combined statistic under the null.
 
     Per repetition and group, a normal vector with the estimated
@@ -59,9 +70,8 @@ def simulate_reference(
     the stacked selector and Jacobian, then the two groups are differenced
     with their sqrt(N/n_i) weights.  Weighted factors whose total trace is
     rounding residue, by the relative rule of the Anova-type statistic,
-    raise ``ValueError``.  ``threads`` has no effect.
+    raise ``ValueError``.
     """
-    del threads
     if est.a != 2:
         raise ValueError(f"the combined test requires exactly two groups, got {est.a}")
     if not est.has_correlation:
@@ -190,18 +200,14 @@ def combined_test(
     repetitions: int = 1000,
     seed: int | None = None,
     alpha: float = 0.05,
-    alpha_step: float | None = None,
-    threads: int = 1,
 ) -> CombinedReport:
     """Joint test of equal variances and equal correlations for two groups.
 
-    The two block p-values are the smallest levels on the alpha grid
-    (step ``alpha_step``, default 1/B) at which the calibrated bands
-    exclude some component of the block; the global p-value is their
-    minimum.  ``beta_tilde`` reports the calibrated miscoverage at the
-    requested ``alpha``.  ``threads`` has no effect.
+    The two block p-values are the smallest levels on the alpha grid of
+    step 1/B at which the calibrated bands exclude some component of the
+    block; the global p-value is their minimum.  ``beta_tilde`` reports the
+    calibrated miscoverage at the requested ``alpha``.
     """
-    del threads
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     seed = _normalize_seed(seed)
@@ -209,8 +215,6 @@ def combined_test(
     T = combined_statistic(sample, est=est)
     draws = simulate_reference(est, repetitions, seed)
     B = repetitions
-    if alpha_step is not None and not 0.0 < alpha_step <= 1.0:
-        raise ValueError(f"alpha_step must lie in (0, 1], got {alpha_step}")
     srt = np.sort(draws, axis=0)
     beta_tilde = calibrate_beta(draws, alpha)
 
@@ -221,12 +225,7 @@ def combined_test(
         ks = [k for k in block if k is not None]
         if not ks:
             return 1.0
-        count = _outside_counts(srt, draws, min(ks))
-        if alpha_step is None:
-            # the default alpha grid has step 1/B, where count/B is exact
-            return count / B
-        steps = math.ceil(count / B / alpha_step - 1e-12)
-        return float(min(steps * alpha_step, 1.0))
+        return _outside_counts(srt, draws, min(ks)) / B
 
     p_var = block_pvalue(exits[:d])
     p_corr = block_pvalue(exits[d:])

@@ -15,16 +15,17 @@ Nothing here forms the dense pooled covariance.  With F_i the exact factor
 of group i's fourth-moment covariance (M_i F_i on the correlation scale)
 and E_i the contrast block of group i, the contrasted factor
 G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T: the trace
-is ||G||_F^2, the MC and BT weights are the nonzero eigenvalues of the
-smaller Gram matrix of G, and TAY draws G z.  A rank-deficient G feeds only
-its nonzero eigenvalues to the chi-square draws.
+is ||G||_F^2 and the MC and BT weights are the nonzero eigenvalues of the
+smaller Gram matrix of G.  A rank-deficient G feeds only its nonzero
+eigenvalues to the chi-square draws.  TAY's draws ||G z||^2 / ||G||_F^2
+follow exactly the MC law, so TAY runs on MC's kernel and, for the same
+seed, returns the same draws.
 
 Every engine draws all B repetitions from one generator rooted at the
-seed, with array operations over blocks of rows whose size depends only on
-the problem's dimensions, so a rerun with the same seed is byte-identical.
-BT draws from its exact law: for Gaussian pseudo-samples the redrawn mean
-and covariance are independent, so numerator and denominator are weighted
-chi-square sums.  ``threads`` arguments are accepted and have no effect.
+seed, in blocks of rows whose size depends only on the problem's
+dimensions, so a rerun with the same seed is byte-identical.  BT draws from
+its exact law: for Gaussian pseudo-samples the redrawn mean and covariance
+are independent, so numerator and denominator are weighted chi-square sums.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ from .hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
 
 _METHODS = ("MC", "BT", "TAY")
 
-# array entries per block of draws: chi-square draws in the weighted kernel,
-# and each m-wide temporary in the factor draws of TAY and the combined test;
-# the draws for a given seed depend on these sizes
+# chi-square entries per block of draws in the weighted kernel; the draws
+# for a given seed depend on this size
 _CHUNK_ELEMENTS = 1 << 22
-_FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
 def fresh_seed() -> int:
@@ -88,17 +87,6 @@ def _gram_spectrum(A: np.ndarray) -> np.ndarray:
     """Nonzero eigenvalues of A @ A.T, taken from the smaller Gram matrix."""
     w = np.linalg.eigvalsh(A.T @ A if A.shape[1] < A.shape[0] else A @ A.T)
     return w[w > 1e-12 * w.max(initial=0.0)]
-
-
-def _factor_draws(rng: np.random.Generator, B: int, factors):
-    """Blocks (lo, hi, U) of B rows of sum_i Z_i @ factors[i].T, with
-    standard normal Z_i drawn one factor after another per block."""
-    m = factors[0].shape[0]
-    for lo, hi in _row_blocks(B, m, _FACTOR_CHUNK_ELEMENTS):
-        U = rng.standard_normal((hi - lo, factors[0].shape[1])) @ factors[0].T
-        for F in factors[1:]:
-            U += rng.standard_normal((hi - lo, F.shape[1])) @ F.T
-        yield lo, hi, U
 
 
 def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
@@ -178,12 +166,16 @@ def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarr
     return (H + H.T) / 2.0
 
 
-def ats(spec: HypothesisSpec, est: MomentEstimates, N: int | None = None) -> float:
+def ats(spec: HypothesisSpec, est: MomentEstimates) -> float:
     """Observed value of the trace-normalized quadratic-form statistic."""
     c = _contrast(spec, est)
-    if N is None:
-        N = est.N
-    return float(N * (c.u @ c.u) / c.trace)
+    return float(est.N * (c.u @ c.u) / c.trace)
+
+
+def _limit_draws(c: _Contrast, B: int, seed: int) -> np.ndarray:
+    """B draws of sum_k lam_k chi2_1, with lam the nonzero eigenvalues of
+    G G^T over its trace; the kernel of both MC and TAY."""
+    return _weighted_chisquare(_root_rng(seed), B, _gram_spectrum(c.G) / c.trace)
 
 
 def mc_reference(
@@ -192,22 +184,7 @@ def mc_reference(
     """B draws from the estimated weighted chi-square limit distribution."""
     c = _contrast(spec, est)
     _check_repetitions(B)
-    lam = _gram_spectrum(c.G) / c.trace
-    return _weighted_chisquare(_root_rng(seed), B, lam)
-
-
-def mc_pvalue(
-    spec: HypothesisSpec,
-    est: MomentEstimates,
-    N: int,
-    statistic: float,
-    B: int,
-    seed: int,
-) -> float:
-    """Share of weighted chi-square draws at or above the observed statistic."""
-    del N  # the limit draws do not rescale with the sample size
-    ref = mc_reference(spec, est, B, seed)
-    return float(np.mean(ref >= statistic))
+    return _limit_draws(c, B, seed)
 
 
 def bootstrap_reference(
@@ -216,7 +193,6 @@ def bootstrap_reference(
     B: int,
     seed: int,
     est: MomentEstimates | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Parametric-bootstrap draws of the statistic under the null.
 
@@ -227,10 +203,8 @@ def bootstrap_reference(
     independent, so with K_i = sqrt(N/n_i) E_i F_i the weighted contrasted
     factor of group i the draws come from the statistic's exact law
     sum_k w_k chi2_1 / sum_i sum_j mu_ij chi2_{n_i-1} / (n_i-1), where
-    w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).  ``threads`` has
-    no effect.
+    w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).
     """
-    del threads
     if est is None:
         est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
     c = _contrast(spec, est)
@@ -243,63 +217,28 @@ def bootstrap_reference(
     return num / _weighted_chisquare(rng, B, np.concatenate(mu), np.concatenate(df))
 
 
-def bootstrap_pvalue(
-    sample: GroupedSample,
-    spec: HypothesisSpec,
-    B: int,
-    seed: int,
-    est: MomentEstimates | None = None,
-    threads: int = 1,
-) -> float:
-    """Share of bootstrap draws at or above the observed statistic."""
-    if est is None:
-        est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
-    observed = ats(spec, est)
-    ref = bootstrap_reference(sample, spec, B, seed, est=est, threads=threads)
-    return float(np.mean(ref >= observed))
-
-
 def taylor_reference(
     sample: GroupedSample,
     spec: HypothesisSpec,
     B: int,
     seed: int,
     est: MomentEstimates | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Delta-method reference draws for correlation targets.
 
     Per repetition and group a normal vector on the covariance scale is
-    mapped through the estimated Jacobian; the trace denominator stays
-    fixed at its observed value.  ``threads`` has no effect.
+    mapped through the estimated Jacobian, and the squared norm of the
+    contrasted sum is divided by the observed trace.  That is ||G z||^2 /
+    ||G||_F^2, which has exactly the MC law, so the draws come from MC's
+    kernel and equal ``mc_reference``'s for the same seed.
     """
-    del threads
     if spec.target != CORRELATION:
         raise ValueError("Taylor method applies to correlation targets only")
     if est is None:
         est = pool_estimates(sample, include_correlation=True)
     c = _contrast(spec, est)
     _check_repetitions(B)
-    out = np.empty(B)
-    for lo, hi, U in _factor_draws(_root_rng(seed), B, c.K):
-        out[lo:hi] = np.einsum("ij,ij->i", U, U)
-    return out / c.trace
-
-
-def taylor_pvalue(
-    sample: GroupedSample,
-    spec: HypothesisSpec,
-    B: int,
-    seed: int,
-    est: MomentEstimates | None = None,
-    threads: int = 1,
-) -> float:
-    """Share of delta-method draws at or above the observed statistic."""
-    if est is None:
-        est = pool_estimates(sample, include_correlation=True)
-    observed = ats(spec, est)
-    ref = taylor_reference(sample, spec, B, seed, est=est, threads=threads)
-    return float(np.mean(ref >= observed))
+    return _limit_draws(c, B, seed)
 
 
 def _check_repetitions(B: int) -> None:
@@ -336,14 +275,9 @@ def run_test(
     repetitions: int = 1000,
     seed: int | None = None,
     alpha: float = 0.05,
-    threads: int = 1,
     est: MomentEstimates | None = None,
 ) -> TestReport:
-    """Full test run: estimate, contrast, resample, and summarize.
-
-    ``threads`` is accepted for compatibility and has no effect.
-    """
-    del threads
+    """Full test run: estimate, contrast, resample, and summarize."""
     method = str(method).upper()
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(_METHODS)}")

@@ -28,7 +28,6 @@ from .linalg import (
     unvech,
     vech,
     vech_pairs,
-    vech_position_table,
     vech_strict,
 )
 
@@ -164,27 +163,20 @@ def correlation_jacobian(v) -> np.ndarray:
     var = np.diag(V).copy()
     if np.any(var <= 0.0):
         raise ValueError("degenerate component: nonpositive variance")
-    pos = vech_position_table(d)
     rows_j, rows_k = vech_pairs(d, strict=True)
     r = V[rows_j, rows_k] / np.sqrt(var[rows_j] * var[rows_k])
     M = np.zeros((strict_length(d), full_length(d)))
     t = np.arange(len(rows_j))
-    M[t, pos[rows_j, rows_k]] = 1.0 / np.sqrt(var[rows_j] * var[rows_k])
-    M[t, pos[rows_j, rows_j]] = -r / (2.0 * var[rows_j])
-    M[t, pos[rows_k, rows_k]] = -r / (2.0 * var[rows_k])
+
+    def pos(j, k):
+        # full half-vector position of (j, k) with j <= k: row j starts
+        # after the d + (d - 1) + ... + (d - j + 1) entries of rows 0..j-1
+        return j * (2 * d - j + 1) // 2 + k - j
+
+    M[t, pos(rows_j, rows_k)] = 1.0 / np.sqrt(var[rows_j] * var[rows_k])
+    M[t, pos(rows_j, rows_j)] = -r / (2.0 * var[rows_j])
+    M[t, pos(rows_k, rows_k)] = -r / (2.0 * var[rows_k])
     return M
-
-
-def group_upsilon(Sigma, M) -> np.ndarray:
-    """Correlation-scale covariance M Sigma M^T, symmetrized."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or Sigma.shape != (M.shape[1], M.shape[1]):
-        raise ValueError(
-            f"shape mismatch: M is {M.shape}, Sigma is {Sigma.shape}"
-        )
-    U = M @ Sigma @ M.T
-    return (U + U.T) / 2.0
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import (
     centering_matrix,
     full_length,
-    kron,
     strict_length,
     vech,
     vech_diag_positions,
@@ -76,13 +75,12 @@ STRUCTURE_ALIASES = {
 class TransformSpec:
     """Smooth reparametrization theta -> f(theta) with its Jacobian.
 
-    ``domain_check`` reports whether the transform is numerically safe at a
-    point; evaluating ``map`` or ``jacobian`` outside the domain raises.
+    Evaluating ``map`` or ``jacobian`` outside the transform's domain raises
+    ``ValueError``.
     """
 
     map: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    domain_check: Callable[[np.ndarray], bool]
     input_dim: int
     output_dim: int
 
@@ -239,13 +237,7 @@ def _ratio_transform(d: int, strict: bool) -> TransformSpec:
             J[q + h - 1] = grad[h] / m[h - 1] - m[h] / m[h - 1] ** 2 * grad[h - 1]
         return J
 
-    def fdomain(theta: np.ndarray) -> bool:
-        m = _means(np.asarray(theta, dtype=float))
-        return bool(np.all(np.abs(m[: d - 1]) > 1e-12 * abs(m[0])))
-
-    return TransformSpec(
-        map=fmap, jacobian=fjac, domain_check=fdomain, input_dim=q, output_dim=q + d - 1
-    )
+    return TransformSpec(map=fmap, jacobian=fjac, input_dim=q, output_dim=q + d - 1)
 
 
 def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
@@ -378,7 +370,7 @@ def predefined_hypothesis(
                     raise ValueError("hypothesis 'equal' with one group needs d >= 2")
                 C = _difference_rows(p, vech_diag_positions(d))
             else:
-                C = kron(centering_matrix(a), np.eye(p))
+                C = np.kron(centering_matrix(a), np.eye(p))
             zeta = np.zeros(C.shape[0])
         elif name == "equal-trace":
             if a < 2:
@@ -439,7 +431,7 @@ def predefined_hypothesis(
                     )
                 C = centering_matrix(ps)
             else:
-                C = kron(centering_matrix(a), np.eye(ps))
+                C = np.kron(centering_matrix(a), np.eye(ps))
             zeta = np.zeros(C.shape[0])
         else:  # uncorrelated
             if a != 1:

@@ -142,15 +142,6 @@ def vech_pairs(d: int, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, k=1 if strict else 0)
 
 
-def vech_position_table(d: int) -> np.ndarray:
-    """d x d table mapping (j, k) to the full half-vector position."""
-    table = np.empty((d, d), dtype=int)
-    rows, cols = np.triu_indices(d)
-    table[rows, cols] = np.arange(len(rows))
-    table[cols, rows] = table[rows, cols]
-    return table
-
-
 def vech_diag_positions(d: int) -> np.ndarray:
     """Positions of the diagonal entries inside the full half-vector."""
     rows, cols = np.triu_indices(d)
@@ -178,17 +169,6 @@ def centering_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"centering matrix needs n >= 1, got {n}")
     return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def sym_eigenvalues(S) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    S = _check_square_symmetric(S)
-    return np.linalg.eigvalsh(S)[::-1]
 
 
 def psd_factor(S, clamp_tol: float = 1e-10) -> np.ndarray:

@@ -172,9 +172,9 @@ class TestRuns:
 
     def test_custom_contrast_matches_predefined(self, tmp_path, capsys):
         path = two_group_file(tmp_path)
-        from covartest.linalg import centering_matrix, kron
+        from covartest.linalg import centering_matrix
 
-        C = kron(centering_matrix(2), np.eye(6))
+        C = np.kron(centering_matrix(2), np.eye(6))
         cpath, zpath = tmp_path / "C.csv", tmp_path / "z.csv"
         np.savetxt(cpath, C, delimiter=",")
         np.savetxt(zpath, np.zeros(12), delimiter=",")
@@ -447,6 +447,27 @@ class TestExitCodes:
         assert captured.err.startswith("covartest: error: numerical: ")
         assert "zero trace" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("target, structure, method", [
+        ("covariance-structure", "ar", "MC"),
+        ("correlation-structure", "har", "TAY"),
+    ])
+    def test_vanishing_subdiagonal_mean_exits_numerical(
+        self, tmp_path, capsys, target, structure, method
+    ):
+        # x3 = -x1 makes S12 + S23, and so r12 + r23, exactly zero: the
+        # first subdiagonal mean divides the next one in the AR ratios
+        x = np.random.default_rng(8).standard_normal((2, 30))
+        path = data_csv(tmp_path, [np.vstack([x, -x[0]])], group_column=None)
+        code = main(["--data", path, "--target", target, "--structure", structure,
+                     "--method", method, "--repetitions", "500", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == (
+            "covartest: error: numerical: subdiagonal-mean ratio undefined: "
+            "a leading subdiagonal mean vanishes\n"
+        )
 
     def test_constant_variable_with_correlation_target(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

@@ -67,7 +67,7 @@ class TestSimulateReference:
         est = pool_estimates(two_groups(rng))
         a = simulate_reference(est, B=512, seed=3)
         b = simulate_reference(est, B=512, seed=3)
-        c = simulate_reference(est, B=512, seed=3, threads=4)
+        c = simulate_reference(est, B=512, seed=3)
         assert a.shape == (512, 6)
         assert_array_equal(a, b)
         assert_array_equal(a, c)
@@ -191,7 +191,7 @@ class TestCombinedTest:
         sample = two_groups(rng)
         a = combined_test(sample, repetitions=800, seed=10)
         b = combined_test(sample, repetitions=800, seed=10)
-        c = combined_test(sample, repetitions=800, seed=10, threads=3)
+        c = combined_test(sample, repetitions=800, seed=10)
         assert (a.p_variances, a.p_correlations, a.p_total, a.beta_tilde) == (
             b.p_variances,
             b.p_correlations,

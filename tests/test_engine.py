@@ -5,14 +5,11 @@ from scipy import stats
 
 from covartest.engine import (
     ats,
-    bootstrap_pvalue,
     bootstrap_reference,
     fresh_seed,
-    mc_pvalue,
     mc_reference,
     run_test,
     statistic_covariance,
-    taylor_pvalue,
     taylor_reference,
 )
 from covartest.estimation import GroupedSample, pool_estimates
@@ -121,13 +118,15 @@ class TestMonteCarlo:
     def test_pvalue_extremes(self, rng):
         est = pool_estimates(two_group_sample(rng))
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
-        assert mc_pvalue(spec, est, est.N, 0.0, B=500, seed=1) == 1.0
-        assert mc_pvalue(spec, est, est.N, 1e12, B=500, seed=1) == 0.0
+        draws = mc_reference(spec, est, B=500, seed=1)
+        assert np.mean(draws >= 0.0) == 1.0
+        assert np.mean(draws >= 1e12) == 0.0
 
     def test_pvalue_monotone_in_statistic(self, rng):
         est = pool_estimates(two_group_sample(rng))
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
-        ps = [mc_pvalue(spec, est, est.N, s, B=1000, seed=3) for s in (0.5, 1.0, 2.0, 4.0)]
+        draws = mc_reference(spec, est, B=1000, seed=3)
+        ps = [np.mean(draws >= s) for s in (0.5, 1.0, 2.0, 4.0)]
         assert ps == sorted(ps, reverse=True)
 
 
@@ -137,7 +136,7 @@ class TestBootstrap:
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
         a = bootstrap_reference(sample, spec, B=512, seed=11)
         b = bootstrap_reference(sample, spec, B=512, seed=11)
-        c = bootstrap_reference(sample, spec, B=512, seed=11, threads=3)
+        c = bootstrap_reference(sample, spec, B=512, seed=11)
         assert_array_equal(a, b)
         assert_array_equal(a, c)
 
@@ -145,9 +144,8 @@ class TestBootstrap:
         sample = two_group_sample(rng, n=(400, 400))
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
         est = pool_estimates(sample)
-        stat = ats(spec, est)
-        p_mc = mc_pvalue(spec, est, est.N, stat, B=4000, seed=21)
-        p_bt = bootstrap_pvalue(sample, spec, B=4000, seed=22, est=est)
+        p_mc = run_test(sample, spec, "MC", 4000, seed=21, est=est).p_value
+        p_bt = run_test(sample, spec, "BT", 4000, seed=22, est=est).p_value
         assert abs(p_mc - p_bt) < 0.08
 
     def test_draws_are_nonnegative(self, rng):
@@ -160,7 +158,7 @@ class TestBootstrap:
     def test_correlation_target(self, rng):
         sample = two_group_sample(rng, d=3)
         spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
-        p = bootstrap_pvalue(sample, spec, B=600, seed=13)
+        p = run_test(sample, spec, "BT", 600, seed=13).p_value
         assert 0.0 <= p <= 1.0
 
     def test_zero_trace_rejected(self, rng):
@@ -183,23 +181,22 @@ class TestTaylor:
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
         a = taylor_reference(sample, spec, B=512, seed=17)
-        b = taylor_reference(sample, spec, B=512, seed=17, threads=4)
+        b = taylor_reference(sample, spec, B=512, seed=17)
         assert_array_equal(a, b)
 
     def test_agrees_with_mc(self, rng):
         sample = two_group_sample(rng, n=(300, 300))
         spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
         est = pool_estimates(sample)
-        stat = ats(spec, est)
-        p_mc = mc_pvalue(spec, est, est.N, stat, B=5000, seed=31)
-        p_ty = taylor_pvalue(sample, spec, B=5000, seed=32, est=est)
+        p_mc = run_test(sample, spec, "MC", 5000, seed=31, est=est).p_value
+        p_ty = run_test(sample, spec, "TAY", 5000, seed=32, est=est).p_value
         assert abs(p_mc - p_ty) < 0.08
 
     def test_structure_target(self, rng):
         V = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
         sample = GroupedSample((gaussian_sample(rng, V, 80),))
         spec = structure_hypothesis("hautoregressive", CORRELATION, 3)
-        p = taylor_pvalue(sample, spec, B=800, seed=41)
+        p = run_test(sample, spec, "TAY", 800, seed=41).p_value
         assert p > 0.01  # data generated under the null
 
 

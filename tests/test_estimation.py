@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.estimation import (
     GroupedSample,
+    MomentEstimates,
     correlation_jacobian,
     group_corr_vector,
     group_cov_vector,
     group_fourth_moment_cov,
-    group_upsilon,
     pool_estimates,
 )
 from covartest.linalg import FULL, HalfVec, unvech, vech, vech_strict
@@ -217,19 +217,11 @@ class TestUpsilon:
         v = vech(make_spd(rng, 2))
         S = make_spd(rng, 3)
         M = correlation_jacobian(v)
-        U = group_upsilon(S, M)
+        est = MomentEstimates(d=2, n=(10,), vhat=(v,), Sigma_factor=(np.linalg.cholesky(S),),
+                              jacobian=(M,))
+        U = est.Upsilon[0]
         assert U.shape == (1, 1)
         assert_allclose(U, M @ S @ M.T, atol=1e-12)
-
-    def test_symmetrized(self, rng):
-        v = vech(make_spd(rng, 3))
-        S = make_spd(rng, 6)
-        U = group_upsilon(S, correlation_jacobian(v))
-        assert_array_equal(U, U.T)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            group_upsilon(np.eye(5), np.ones((2, 6)))
 
 
 # ------------------------------------------------------------- pooling

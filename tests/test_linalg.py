@@ -11,19 +11,17 @@ from covartest.linalg import (
     block_diag,
     centering_matrix,
     full_length,
-    kron,
     psd_factor,
     strict_length,
-    sym_eigenvalues,
     unvech,
     vech,
     vech_diag_positions,
     vech_offdiag_positions,
     vech_pairs,
-    vech_position_table,
     vech_strict,
     vech_subdiagonal_positions,
 )
+from covartest.engine import _gram_spectrum
 from conftest import make_spd
 
 
@@ -130,14 +128,6 @@ class TestPositionHelpers:
         with pytest.raises(ValueError):
             vech_subdiagonal_positions(d, d)
 
-    def test_position_table_inverts_pairs(self):
-        for d in range(1, 7):
-            table = vech_position_table(d)
-            rows, cols = vech_pairs(d)
-            for t, (j, k) in enumerate(zip(rows, cols)):
-                assert table[j, k] == t
-                assert table[k, j] == t
-
     def test_lengths(self):
         assert [full_length(d) for d in range(1, 6)] == [1, 3, 6, 10, 15]
         assert [strict_length(d) for d in range(2, 6)] == [1, 3, 6, 10]
@@ -213,7 +203,7 @@ class TestKron:
     def test_matches_blockwise_definition(self, rng):
         A = rng.standard_normal((2, 3))
         B = rng.standard_normal((3, 2))
-        K = kron(A, B)
+        K = np.kron(A, B)
         assert K.shape == (6, 6)
         for i in range(2):
             for j in range(3):
@@ -225,28 +215,33 @@ class TestKron:
         a, p = 3, 4
         blocks = [rng.standard_normal(p) for _ in range(a)]
         stacked = np.concatenate(blocks)
-        out = kron(centering_matrix(a), np.eye(p)) @ stacked
+        out = np.kron(centering_matrix(a), np.eye(p)) @ stacked
         mean = sum(blocks) / a
         expect = np.concatenate([b - mean for b in blocks])
         assert_allclose(out, expect, atol=1e-12)
 
 
 class TestEigenvalues:
-    def test_diagonal_case_sorted_descending(self):
-        assert_array_equal(sym_eigenvalues(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
+    # the engines' eigenvalue kernel: nonzero eigenvalues of A A^T, taken
+    # from the smaller of A A^T and A^T A
 
     def test_two_by_two_closed_form(self):
-        assert_allclose(sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), [3.0, 1.0])
+        # A A^T = [[2, 1], [1, 2]]; A^T A has the same eigenvalues 3 and 1
+        # plus a zero, which is dropped
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        assert_allclose(np.sort(_gram_spectrum(A)), [1.0, 3.0])
+        assert_allclose(np.sort(_gram_spectrum(A.T)), [1.0, 3.0])
 
     def test_sum_equals_trace(self, rng):
         for d in (2, 4, 6):
-            S = make_spd(rng, d)
-            assert_allclose(sym_eigenvalues(S).sum(), np.trace(S), rtol=1e-10)
+            L = np.linalg.cholesky(make_spd(rng, d))
+            for A in (L, L @ rng.standard_normal((d, 2 * d)), L[:, : d - 1]):
+                assert_allclose(_gram_spectrum(A).sum(), np.trace(A @ A.T), rtol=1e-10)
 
     def test_normalized_weights_sum_to_one(self, rng):
         # the mixture weights of the limiting distribution
         S = make_spd(rng, 5)
-        lam = sym_eigenvalues(S) / np.trace(S)
+        lam = _gram_spectrum(np.linalg.cholesky(S)) / np.trace(S)
         assert_allclose(lam.sum(), 1.0, atol=1e-10)
         assert np.all(lam >= -1e-12)
 

@@ -6,6 +6,8 @@ Each case compares 10 000 draws of both by a two-sample KS test at fixed
 seeds.  MC draws one chi-square per nonzero eigenvalue of the contrasted
 covariance, not one per contrast row as the dense loop does, so its law is
 compared the same way and its stream is pinned byte for byte on its own.
+TAY's draws ||G z||^2 / ||G||_F^2 have the MC law and come from MC's
+kernel, so for one seed they equal MC's draws byte for byte.
 """
 
 import numpy as np
@@ -107,6 +109,27 @@ def test_taylor_law_matches_loop_hautoregressive():
         taylor_reference(sample, spec, B=B, seed=11, est=est),
         taylor_reference_loop(sample, spec, B=B, seed=12, est=est),
     )
+
+
+@pytest.mark.parametrize(
+    "seed, d, n, structure",
+    [
+        # rank-deficient first group, as in the equal-correlated KS case
+        (202, 5, (14, 60), None),
+        (303, 4, (80,), "hautoregressive"),
+    ],
+    ids=["equal-correlated", "hautoregressive"],
+)
+def test_taylor_draws_equal_mc_draws(seed, d, n, structure):
+    sample = sample_of(seed, d, n)
+    if structure is None:
+        spec = predefined_hypothesis("equal-correlated", CORRELATION, len(n), d)
+    else:
+        spec = structure_hypothesis(structure, CORRELATION, d)
+    est = pool_estimates(sample)
+    tay = taylor_reference(sample, spec, B=3000, seed=21, est=est)
+    mc = mc_reference(spec, pool_estimates(sample), B=3000, seed=21)
+    assert tay.tobytes() == mc.tobytes()
 
 
 def test_combined_law_matches_loop_per_component():
