@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
@@ -57,27 +57,6 @@ class DataError(Exception):
     """Unreadable or ill-formed input data."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated invocation, ready to execute."""
-
-    data: str
-    target: str
-    group_column: str | None = None
-    group_sizes: tuple[int, ...] | None = None
-    hypothesis: str | None = None
-    C_path: str | None = None
-    zeta_path: str | None = None
-    structure: str | None = None
-    gamma: float | None = None
-    matrix_path: str | None = None
-    method: str = "MC"
-    repetitions: int = 1000
-    seed: int | None = None
-    alpha: float = 0.05
-    output: str = "text"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covartest",
@@ -118,12 +97,14 @@ def _parse_group_sizes(raw: str) -> tuple[int, ...]:
     return sizes
 
 
-def _validate_config(args: argparse.Namespace) -> RunConfig:
+def _validate_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed flags; fill in the parsed group sizes and the method."""
     target = args.target
     structural = target.endswith("-structure")
     if args.group_column is not None and args.group_sizes is not None:
         raise ConfigError("--group-column and --group-sizes are mutually exclusive")
-    sizes = _parse_group_sizes(args.group_sizes) if args.group_sizes is not None else None
+    if args.group_sizes is not None:
+        args.group_sizes = _parse_group_sizes(args.group_sizes)
 
     custom = args.C_path is not None or args.zeta_path is not None
     if target == "combined":
@@ -158,8 +139,9 @@ def _validate_config(args: argparse.Namespace) -> RunConfig:
     if args.matrix_path is not None and args.hypothesis != "given-matrix":
         raise ConfigError("--matrix only applies to the 'given-matrix' hypothesis")
 
-    method = args.method if args.method is not None else "MC"
-    if method == "TAY" and target not in ("correlation", "correlation-structure", "combined"):
+    if args.method is None:
+        args.method = "MC"
+    if args.method == "TAY" and target not in ("correlation", "correlation-structure", "combined"):
         raise ConfigError("Taylor method applies to correlation targets only")
     if args.repetitions < 1:
         raise ConfigError(f"--repetitions must be positive, got {args.repetitions}")
@@ -169,24 +151,7 @@ def _validate_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--threads must be positive, got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-
-    return RunConfig(
-        data=args.data,
-        target=target,
-        group_column=args.group_column,
-        group_sizes=sizes,
-        hypothesis=args.hypothesis,
-        C_path=args.C_path,
-        zeta_path=args.zeta_path,
-        structure=args.structure,
-        gamma=args.gamma,
-        matrix_path=args.matrix_path,
-        method=method,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        alpha=args.alpha,
-        output=args.output,
-    )
+    return args
 
 
 def ingest(
@@ -364,12 +329,17 @@ def _render_combined_json(report: CombinedReport) -> str:
     return json.dumps(payload, indent=2)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration and print the rendered report."""
-    sample = ingest(config.data, config.group_column, config.group_sizes)
-    seed = config.seed if config.seed is not None else fresh_seed()
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def run(args: argparse.Namespace) -> int:
+    """Execute validated flags and print the rendered report.
 
-    if config.target == "combined":
+    Overflow, division by zero and invalid operations raise, so that data
+    out of floating-point range ends in one numerical error line.
+    """
+    sample = ingest(args.data, args.group_column, args.group_sizes)
+    seed = args.seed if args.seed is not None else fresh_seed()
+
+    if args.target == "combined":
         if sample.a != 2:
             raise ConfigError(
                 f"the combined test requires exactly two groups, got {sample.a}"
@@ -377,45 +347,45 @@ def run(config: RunConfig) -> int:
         try:
             report = combined_test(
                 sample,
-                repetitions=config.repetitions,
+                repetitions=args.repetitions,
                 seed=seed,
-                alpha=config.alpha,
+                alpha=args.alpha,
             )
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
             raise _Numerical(str(exc)) from exc
         text = (
             _render_combined_text(report)
-            if config.output == "text"
+            if args.output == "text"
             else _render_combined_json(report)
         )
         print(text)
         return EXIT_OK
 
-    base_target = COVARIANCE if config.target.startswith("covariance") else CORRELATION
-    structural = config.target.endswith("-structure")
+    base_target = COVARIANCE if args.target.startswith("covariance") else CORRELATION
+    structural = args.target.endswith("-structure")
     try:
         if structural:
             if sample.a != 1:
                 raise ConfigError(
                     f"structure hypotheses are defined for a single group, got {sample.a}"
                 )
-            spec = structure_hypothesis(config.structure, base_target, sample.d)
-        elif config.hypothesis is not None:
+            spec = structure_hypothesis(args.structure, base_target, sample.d)
+        elif args.hypothesis is not None:
             extra = None
-            if config.hypothesis == "given-trace":
-                extra = config.gamma
-            elif config.hypothesis == "given-matrix":
-                if config.matrix_path is None:
+            if args.hypothesis == "given-trace":
+                extra = args.gamma
+            elif args.hypothesis == "given-matrix":
+                if args.matrix_path is None:
                     raise ConfigError("hypothesis 'given-matrix' needs --matrix")
-                extra = _load_array(config.matrix_path, "matrix", ndmin=2)
+                extra = _load_array(args.matrix_path, "matrix", ndmin=2)
             spec = predefined_hypothesis(
-                config.hypothesis, base_target, sample.a, sample.d, extra=extra
+                args.hypothesis, base_target, sample.a, sample.d, extra=extra
             )
         else:
-            C = _load_array(config.C_path, "contrast", ndmin=2)
-            zeta = _load_array(config.zeta_path, "zeta", ndmin=1).ravel()
+            C = _load_array(args.C_path, "contrast", ndmin=2)
+            zeta = _load_array(args.zeta_path, "zeta", ndmin=1).ravel()
             spec = custom_hypothesis(C, zeta, base_target, sample.a, sample.d)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise ConfigError(str(exc)) from exc
 
     try:
@@ -423,21 +393,21 @@ def run(config: RunConfig) -> int:
         report = run_test(
             sample,
             spec,
-            method=config.method,
-            repetitions=config.repetitions,
+            method=args.method,
+            repetitions=args.repetitions,
             seed=seed,
-            alpha=config.alpha,
+            alpha=args.alpha,
             est=est,
         )
-        if config.output == "json":
+        if args.output == "json":
             H = statistic_covariance(spec, est)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise _Numerical(str(exc)) from exc
 
-    title = _TITLES[config.target]
+    title = _TITLES[args.target]
     text = (
         _render_text(report, title)
-        if config.output == "text"
+        if args.output == "text"
         else _render_json(report, title, H)
     )
     print(text)
@@ -454,21 +424,23 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"covartest: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _validate_config(args)
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
-    try:
-        return run(config)
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
-    except DataError as exc:
-        return _fail("data", str(exc), EXIT_DATA)
-    except _Numerical as exc:
-        return _fail("numerical", str(exc), EXIT_NUMERICAL)
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        # library warnings print as one line in the CLI's own format
+        warnings.showwarning = _show_warning
+        try:
+            return run(_validate_config(args))
+        except ConfigError as exc:
+            return _fail("config", str(exc), EXIT_CONFIG)
+        except DataError as exc:
+            return _fail("data", str(exc), EXIT_DATA)
+        except _Numerical as exc:
+            return _fail("numerical", str(exc), EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ def combined_statistic(sample: GroupedSample, est: MomentEstimates | None = None
         est = pool_estimates(sample, include_correlation=True)
     diag = vech_diag_positions(est.d)
     parts = [
-        np.concatenate([est.vhat[i].values[diag], est.rhat[i].values])
+        np.concatenate([est.vhat[i][diag], est.rhat[i]])
         for i in range(2)
     ]
     return np.sqrt(est.N) * (parts[0] - parts[1])

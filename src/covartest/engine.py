@@ -31,6 +31,7 @@ are independent, so numerator and denominator are weighted chi-square sums.
 from __future__ import annotations
 
 import secrets
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -245,10 +246,15 @@ def _check_repetitions(B: int) -> None:
     if B < 1:
         raise ValueError(f"repetitions must be positive, got {B}")
     if B < 500:
+        # point the warning at the first caller outside this package, so
+        # that run_test and combined_test name their caller's line too
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"only {B} resampling repetitions; p-values are coarse below 500",
             UserWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

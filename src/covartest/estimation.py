@@ -9,7 +9,8 @@ the delta-method Jacobian M_i mapping covariance coordinates to correlation
 coordinates, so that M_i F_i factors the correlation-scale covariance
 ``Upsilon``.  The engines work on these factors alone.  The dense per-group
 matrices and their block-diagonal pools with weights N/n_i are built on
-first access only.
+first access only.  Half-vectors are plain read-only 1-D arrays, so a
+contrast the engines cache on the estimates cannot go stale.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    FULL,
-    HalfVec,
     block_diag,
     full_length,
     strict_length,
@@ -78,7 +77,7 @@ class GroupedSample:
         return sum(self.n)
 
 
-def group_cov_vector(X) -> HalfVec:
+def group_cov_vector(X) -> np.ndarray:
     """Half-vectorized empirical covariance (divisor n - 1) of one group."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
@@ -131,7 +130,7 @@ def group_fourth_moment_factor(X) -> np.ndarray:
     return Q[:, keep] * np.sqrt(w[keep])
 
 
-def group_corr_vector(X) -> HalfVec:
+def group_corr_vector(X) -> np.ndarray:
     """Strict half-vectorization of the empirical correlation of one group."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
@@ -153,13 +152,10 @@ def correlation_jacobian(v) -> np.ndarray:
     -r_jk / (2 v_jj) at (j, j) and -r_jk / (2 v_kk) at (k, k); all other
     entries vanish.
     """
-    hv = v if isinstance(v, HalfVec) else HalfVec.from_values(v, FULL)
-    if hv.kind != FULL:
-        raise ValueError("the Jacobian is evaluated at a full covariance vector")
-    d = hv.d
+    V = unvech(v)
+    d = V.shape[0]
     if d < 2:
         raise ValueError("correlation vectorization needs d >= 2")
-    V = unvech(hv)
     var = np.diag(V).copy()
     if np.any(var <= 0.0):
         raise ValueError("degenerate component: nonpositive variance")
@@ -190,9 +186,9 @@ class MomentEstimates:
 
     d: int
     n: tuple[int, ...]
-    vhat: tuple[HalfVec, ...]
+    vhat: tuple[np.ndarray, ...]
     Sigma_factor: tuple[np.ndarray, ...]
-    rhat: tuple[HalfVec, ...] | None = None
+    rhat: tuple[np.ndarray, ...] | None = None
     jacobian: tuple[np.ndarray, ...] | None = None
 
     @property
@@ -213,13 +209,13 @@ class MomentEstimates:
 
     @property
     def vhat_pooled(self) -> np.ndarray:
-        return np.concatenate([hv.values for hv in self.vhat])
+        return np.concatenate(self.vhat)
 
     @property
     def rhat_pooled(self) -> np.ndarray:
         if self.rhat is None:
             raise ValueError("correlation estimates were not computed")
-        return np.concatenate([hv.values for hv in self.rhat])
+        return np.concatenate(self.rhat)
 
     @property
     def has_correlation(self) -> bool:

@@ -333,10 +333,6 @@ def structure_hypothesis(name: str, target: str, d: int) -> HypothesisSpec:
     )
 
 
-def _block_positions(block: int, width: int, positions: np.ndarray) -> np.ndarray:
-    return block * width + np.asarray(positions)
-
-
 def predefined_hypothesis(
     name: str, target: str, a: int, d: int, extra=None
 ) -> HypothesisSpec:
@@ -372,25 +368,16 @@ def predefined_hypothesis(
             else:
                 C = np.kron(centering_matrix(a), np.eye(p))
             zeta = np.zeros(C.shape[0])
-        elif name == "equal-trace":
+        elif name in ("equal-trace", "equal-diagonals"):
             if a < 2:
-                raise ValueError("hypothesis 'equal-trace' needs at least two groups")
-            diag = vech_diag_positions(d)
-            C = np.zeros((a - 1, a * p))
-            for i in range(a - 1):
-                C[i, _block_positions(i, p, diag)] = 1.0
-                C[i, _block_positions(i + 1, p, diag)] = -1.0
-            zeta = np.zeros(a - 1)
-        elif name == "equal-diagonals":
-            if a < 2:
-                raise ValueError("hypothesis 'equal-diagonals' needs at least two groups")
-            diag = vech_diag_positions(d)
-            C = np.zeros(((a - 1) * d, a * p))
-            for i in range(a - 1):
-                rows = np.arange(i * d, (i + 1) * d)
-                C[rows, _block_positions(i, p, diag)] = 1.0
-                C[rows, _block_positions(i + 1, p, diag)] = -1.0
-            zeta = np.zeros((a - 1) * d)
+                raise ValueError(f"hypothesis {name!r} needs at least two groups")
+            # group i minus group i + 1 on the diagonal entries, or on
+            # their sum for the trace
+            diag_rows = _selector_rows(p, vech_diag_positions(d))
+            if name == "equal-trace":
+                diag_rows = diag_rows.sum(axis=0, keepdims=True)
+            C = np.kron(_difference_rows(a, np.arange(a)), diag_rows)
+            zeta = np.zeros(C.shape[0])
         elif name == "given-trace":
             if a != 1:
                 raise ValueError("hypothesis 'given-trace' is only defined for one group")
@@ -411,7 +398,7 @@ def predefined_hypothesis(
             if V.shape != (d, d):
                 raise ValueError(f"the target matrix must be {d}x{d}, got shape {V.shape}")
             C = np.eye(p)
-            zeta = vech(V).values  # raises if V is not symmetric
+            zeta = vech(V)  # raises if V is not symmetric
         else:  # uncorrelated
             if a != 1:
                 raise ValueError("hypothesis 'uncorrelated' is only defined for one group")

@@ -2,21 +2,15 @@
 
 Half-vectorization follows a fixed row-major upper-triangle order,
 (1,1), (1,2), ..., (1,d), (2,2), ..., (d,d); the strict variant drops the
-diagonal entries and keeps the same scan order.  Symmetric matrices are
-plain float ndarrays throughout.
+diagonal entries and keeps the same scan order.  Half-vectors are plain
+read-only 1-D float arrays; symmetric matrices are plain float ndarrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-FULL = "full"
-STRICT = "strict"
-
-_KINDS = (FULL, STRICT)
 
 
 def full_length(d: int) -> int:
@@ -29,8 +23,8 @@ def strict_length(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def _dim_from_length(length: int, kind: str) -> int:
-    if kind == FULL:
+def _dim_from_length(length: int, strict: bool) -> int:
+    if not strict:
         d = (math.isqrt(8 * length + 1) - 1) // 2
         if full_length(d) == length:
             return d
@@ -40,51 +34,9 @@ def _dim_from_length(length: int, kind: str) -> int:
         if length > 0 and strict_length(d) == length:
             return d
     raise ValueError(
-        f"length {length} is not a triangular number for kind {kind!r}"
+        f"length {length} is not a triangular number for a "
+        f"{'strict' if strict else 'full'} half-vector"
     )
-
-
-@dataclass(frozen=True)
-class HalfVec:
-    """Half-vectorized symmetric matrix.
-
-    ``kind`` is ``"full"`` when the diagonal is included and ``"strict"``
-    when it is dropped; ``values`` holds the upper-triangle entries in
-    row-major order.
-    """
-
-    values: np.ndarray
-    d: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown half-vector kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("half-vector values must be one-dimensional")
-        expected = full_length(self.d) if self.kind == FULL else strict_length(self.d)
-        if len(vals) != expected:
-            raise ValueError(
-                f"half-vector of kind {self.kind!r} for d={self.d} needs "
-                f"{expected} entries, got {len(vals)}"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_values(cls, values, kind: str = FULL) -> "HalfVec":
-        vals = np.asarray(values, dtype=float).ravel()
-        if kind not in _KINDS:
-            raise ValueError(f"unknown half-vector kind {kind!r}")
-        return cls(vals, _dim_from_length(len(vals), kind), kind)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 def _check_square_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -97,43 +49,38 @@ def _check_square_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
     return S
 
 
-def vech(S) -> HalfVec:
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
+def vech(S) -> np.ndarray:
     """Row-major upper-triangle vectorization of a symmetric matrix."""
     S = _check_square_symmetric(S)
-    d = S.shape[0]
-    return HalfVec(S[np.triu_indices(d)], d, FULL)
+    return _read_only(S[np.triu_indices(S.shape[0])])
 
 
-def vech_strict(S) -> HalfVec:
+def vech_strict(S) -> np.ndarray:
     """Row-major upper-triangle vectorization without the diagonal."""
     S = _check_square_symmetric(S)
     d = S.shape[0]
     if d < 2:
         raise ValueError("strict vectorization needs d >= 2")
-    return HalfVec(S[np.triu_indices(d, k=1)], d, STRICT)
+    return _read_only(S[np.triu_indices(d, k=1)])
 
 
-def unvech(v, kind: str | None = None) -> np.ndarray:
+def unvech(v, strict: bool = False) -> np.ndarray:
     """Rebuild the symmetric matrix from a half-vector.
 
     For strict half-vectors the diagonal is filled with ones (correlation
-    convention).  Raw arrays default to the full kind.
+    convention).
     """
-    if isinstance(v, HalfVec):
-        if kind is not None and kind != v.kind:
-            raise ValueError(f"kind {kind!r} conflicts with half-vector kind {v.kind!r}")
-        hv = v
-    else:
-        hv = HalfVec.from_values(v, FULL if kind is None else kind)
-    d = hv.d
-    out = np.zeros((d, d))
-    if hv.kind == FULL:
-        iu = np.triu_indices(d)
-    else:
-        iu = np.triu_indices(d, k=1)
-        np.fill_diagonal(out, 1.0)
-    out[iu] = hv.values
-    out.T[iu] = hv.values
+    v = np.asarray(v, dtype=float).ravel()
+    d = _dim_from_length(len(v), strict)
+    out = np.eye(d) if strict else np.zeros((d, d))
+    iu = vech_pairs(d, strict)
+    out[iu] = v
+    out.T[iu] = v
     return out
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import covartest
 from covartest.estimation import MomentEstimates, correlation_jacobian
 from covartest.linalg import vech, vech_strict
 
@@ -16,6 +20,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def subprocess_env() -> dict:
+    """The environment with covartest's source directory on PYTHONPATH, so
+    that a fresh interpreter imports the package under test."""
+    src = str(Path(covartest.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def make_spd(rng: np.random.Generator, d: int, spread: tuple[float, float] = (0.5, 3.0)) -> np.ndarray:

@@ -120,10 +120,10 @@ def test_criterion_01_estimator_oracles():
             X = rng.uniform(-1, 3, (d, n)) * rng.uniform(0.2, 5.0, (d, 1))
         else:
             X = rng.exponential(1.5, (d, n)) - 1.0
-        dv = np.abs(group_cov_vector(X).values - vech(_oracle_cov(X)).values).max()
+        dv = np.abs(group_cov_vector(X) - vech(_oracle_cov(X))).max()
         if dv > 1e-12:
             failures.append(f"case {case}: covariance vector off by {dv:.2e}")
-        dr = np.abs(group_corr_vector(X).values - _oracle_corr(X)).max()
+        dr = np.abs(group_corr_vector(X) - _oracle_corr(X)).max()
         if dr > 1e-12:
             failures.append(f"case {case}: correlation vector off by {dr:.2e}")
         dS = np.abs(group_fourth_moment_cov(X) - _oracle_fourth(X)).max()
@@ -153,7 +153,7 @@ def test_criterion_02_jacobians_match_finite_differences():
         V = unvech(np.asarray(v))
         sd = np.sqrt(np.diag(V))
         R = V / np.outer(sd, sd)
-        return vech_strict((R + R.T) / 2.0).values
+        return vech_strict((R + R.T) / 2.0)
 
     def in_domain(transform, theta):
         try:
@@ -170,7 +170,7 @@ def test_criterion_02_jacobians_match_finite_differences():
         V = make_spd(rng, d)
         v = vech(V)
         J = correlation_jacobian(v)
-        F = fd(corr_map, v.values)
+        F = fd(corr_map, v)
         err = np.abs(J - F).max() / max(1.0, np.abs(J).max())
         if err > 1e-5:
             failures.append(f"correlation jacobian point {point}: error {err:.2e}")
@@ -180,7 +180,7 @@ def test_criterion_02_jacobians_match_finite_differences():
             np.subtract.outer(np.arange(4), np.arange(4))
         )
         W = W + 0.05 * make_spd(rng, 4)
-        theta = vech(W).values
+        theta = vech(W)
         if in_domain(ar_spec.transform, theta):
             J = ar_spec.transform.jacobian(theta)
             F = fd(ar_spec.transform.map, theta)
@@ -188,7 +188,7 @@ def test_criterion_02_jacobians_match_finite_differences():
             if err > 1e-5:
                 failures.append(f"ar transform point {point}: error {err:.2e}")
         sd = np.sqrt(np.diag(W))
-        theta = vech_strict(W / np.outer(sd, sd)).values
+        theta = vech_strict(W / np.outer(sd, sd))
         if in_domain(har_spec.transform, theta):
             J = har_spec.transform.jacobian(theta)
             F = fd(har_spec.transform.map, theta)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.cli import DataError, ingest, main, write_csv
 from covartest.estimation import GroupedSample
+from conftest import subprocess_env
 
 rng0 = np.random.default_rng(424242)
 
@@ -23,6 +26,12 @@ def two_group_file(tmp_path, d=3, n=(30, 35), scale2=1.0, seed=1):
     g1 = rng.standard_normal((d, n[0]))
     g2 = scale2 * rng.standard_normal((d, n[1]))
     return data_csv(tmp_path, [g1, g2])
+
+
+def run_cli(*argv):
+    """The command line in a fresh interpreter, as a user runs it."""
+    return subprocess.run([sys.executable, "-m", "covartest.cli", *argv],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
 
 
 def one_group_file(tmp_path, d=3, n=40, seed=2):
@@ -479,3 +488,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 4
         assert "variance" in err
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    @pytest.mark.parametrize("target", [
+        ["--target", "covariance", "--hypothesis", "equal"],
+        ["--target", "correlation", "--hypothesis", "equal-correlated"],
+        ["--target", "combined"],
+    ])
+    def test_out_of_range_magnitudes_exit_numerical(self, tmp_path, scale, target):
+        # the fourth moments of 1e155 overflow and those of 1e-160
+        # underflow to zero: one error line, no RuntimeWarning
+        rng = np.random.default_rng(3)
+        path = data_csv(tmp_path, [scale * rng.standard_normal((3, n)) for n in (30, 35)])
+        proc = run_cli("--data", path, "--group-column", "g", *target, "--seed", "1")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("covartest: error: numerical: ")
+        assert proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_out_of_range_target_matrix_is_config_error(self, tmp_path):
+        # the symmetry check of 1e308 entries overflows: one config line
+        path = one_group_file(tmp_path)
+        mpath = tmp_path / "V.csv"
+        V = np.eye(3)
+        V[0, 1], V[1, 0] = 1e308, -1e308
+        np.savetxt(mpath, V, delimiter=",")
+        proc = run_cli("--data", path, "--target", "covariance", "--hypothesis",
+                       "given-matrix", "--matrix", str(mpath), "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("covartest: error: config: ")
+        assert proc.stderr.count("\n") == 1
+
+
+class TestCliWarnings:
+    @pytest.mark.parametrize("target", [
+        ["--target", "covariance", "--hypothesis", "equal"],
+        ["--target", "combined"],
+    ])
+    def test_low_repetitions_warn_in_one_line(self, tmp_path, capsys, target):
+        path = two_group_file(tmp_path)
+        argv = ["--data", path, "--group-column", "g", *target, "--seed", "1"]
+        assert main([*argv, "--repetitions", "100"]) == 0
+        expect = capsys.readouterr().out
+        proc = run_cli(*argv, "--repetitions", "100")
+        assert proc.returncode == 0
+        assert proc.stdout == expect
+        assert proc.stderr == (
+            "covartest: warning: only 100 resampling repetitions; "
+            "p-values are coarse below 500\n"
+        )

@@ -31,8 +31,8 @@ class TestCombinedStatistic:
         sample = two_groups(rng, d=2)
         est = pool_estimates(sample)
         T = combined_statistic(sample, est=est)
-        v1, v2 = est.vhat[0].values, est.vhat[1].values
-        r1, r2 = est.rhat[0].values, est.rhat[1].values
+        v1, v2 = est.vhat[0], est.vhat[1]
+        r1, r2 = est.rhat[0], est.rhat[1]
         expect = np.sqrt(est.N) * np.array(
             [v1[0] - v2[0], v1[2] - v2[2], r1[0] - r2[0]]
         )
@@ -240,5 +240,8 @@ class TestCombinedTest:
             combined_test(sample, repetitions=500, seed=1)
 
     def test_low_repetitions_warn(self, rng):
-        with pytest.warns(UserWarning, match="500"):
+        with pytest.warns(UserWarning, match="500") as record:
             combined_test(two_groups(rng), repetitions=100, seed=1)
+        # the warning names the caller's line, not covartest's own
+        assert len(record) == 1
+        assert record[0].filename == __file__

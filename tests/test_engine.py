@@ -43,7 +43,7 @@ class TestStatistic:
         sample = GroupedSample((gaussian_sample(rng, make_spd(rng, 2), 35),))
         est = pool_estimates(sample)
         spec = predefined_hypothesis("uncorrelated", CORRELATION, 1, 2)
-        r = est.rhat[0].values[0]
+        r = est.rhat[0][0]
         expect = est.N * r**2 / est.Upsilon_pooled[0, 0]
         assert_allclose(ats(spec, est), expect, rtol=1e-12)
 
@@ -239,8 +239,11 @@ class TestRunTest:
     def test_low_repetitions_warn(self, rng):
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
-        with pytest.warns(UserWarning, match="500"):
+        with pytest.warns(UserWarning, match="500") as record:
             run_test(sample, spec, repetitions=100, seed=1)
+        # the warning names the caller's line, not covartest's own
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
     def test_enough_repetitions_do_not_warn(self, rng):
         sample = two_group_sample(rng)

@@ -13,7 +13,7 @@ from covartest.estimation import (
     group_fourth_moment_cov,
     pool_estimates,
 )
-from covartest.linalg import FULL, HalfVec, unvech, vech, vech_strict
+from covartest.linalg import unvech, vech, vech_strict
 from conftest import gaussian_sample, make_spd
 
 
@@ -69,10 +69,10 @@ def oracle_pearson(X):
 
 def corr_map(v):
     # covariance half-vector -> strict correlation half-vector
-    V = unvech(np.asarray(v), FULL)
+    V = unvech(v)
     sd = np.sqrt(np.diag(V))
     R = V / np.outer(sd, sd)
-    return vech_strict((R + R.T) / 2.0).values
+    return vech_strict((R + R.T) / 2.0)
 
 
 def fd_jacobian(f, x, h=1e-6):
@@ -91,18 +91,18 @@ def fd_jacobian(f, x, h=1e-6):
 class TestCovVector:
     def test_two_points(self):
         X = np.array([[0.0, 2.0], [0.0, 0.0]])
-        assert_array_equal(group_cov_vector(X).values, [2.0, 0.0, 0.0])
+        assert_array_equal(group_cov_vector(X), [2.0, 0.0, 0.0])
 
     def test_constant_columns_give_zero(self):
         X = np.tile(np.array([[1.0], [3.0]]), (1, 5))
-        assert_array_equal(group_cov_vector(X).values, np.zeros(3))
+        assert_array_equal(group_cov_vector(X), np.zeros(3))
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(5, 30))
             X = rng.standard_normal((d, n)) * rng.uniform(0.5, 2.0)
-            assert_allclose(group_cov_vector(X).values, vech(oracle_cov(X)).values, atol=1e-12)
+            assert_allclose(group_cov_vector(X), vech(oracle_cov(X)), atol=1e-12)
 
     def test_rejects_single_observation(self):
         with pytest.raises(ValueError):
@@ -160,20 +160,20 @@ class TestCorrVector:
     def test_perfect_dependence(self):
         x = np.array([0.0, 1.0, 2.0, 5.0])
         X = np.vstack([x, 3.0 * x + 1.0, -2.0 * x])
-        r = group_corr_vector(X).values
+        r = group_corr_vector(X)
         assert_allclose(r, [1.0, -1.0, -1.0], atol=1e-12)
 
     def test_matches_pearson_oracle(self, rng):
         X = rng.standard_normal((3, 30)) * np.array([[0.2], [5.0], [1.0]])
         assert_allclose(
-            group_corr_vector(X).values,
-            vech_strict(oracle_pearson(X)).values,
+            group_corr_vector(X),
+            vech_strict(oracle_pearson(X)),
             atol=1e-12,
         )
 
     def test_values_in_unit_interval(self, rng):
         X = gaussian_sample(rng, make_spd(rng, 5), 8)
-        r = group_corr_vector(X).values
+        r = group_corr_vector(X)
         assert np.all(np.abs(r) <= 1.0)
 
     def test_rejects_zero_variance(self):
@@ -184,13 +184,13 @@ class TestCorrVector:
 
 class TestCorrelationJacobian:
     def test_identity_covariance(self):
-        M = correlation_jacobian(HalfVec.from_values(np.array([1.0, 0.0, 1.0]), FULL))
+        M = correlation_jacobian(np.array([1.0, 0.0, 1.0]))
         assert_array_equal(M, [[0.0, 1.0, 0.0]])
 
     def test_hand_derived_entries(self):
         # d = 2, v = (4, 2, 1): r = v12 / sqrt(v11 v22)
         # dr/dv11 = -r / (2 v11) = -1/8, dr/dv12 = 1/2, dr/dv22 = -1/2
-        M = correlation_jacobian(HalfVec.from_values(np.array([4.0, 2.0, 1.0]), FULL))
+        M = correlation_jacobian(np.array([4.0, 2.0, 1.0]))
         assert_allclose(M, [[-0.125, 0.5, -0.5]], atol=1e-15)
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -198,12 +198,12 @@ class TestCorrelationJacobian:
         for _ in range(20):
             v = vech(make_spd(rng, d))
             M = correlation_jacobian(v)
-            J = fd_jacobian(corr_map, v.values)
+            J = fd_jacobian(corr_map, v)
             scale = max(1.0, np.abs(J).max())
             assert np.abs(M - J).max() <= 1e-5 * scale
 
     def test_rejects_nonpositive_variance(self):
-        v = HalfVec.from_values(np.array([1.0, 0.5, 0.0]), FULL)
+        v = np.array([1.0, 0.5, 0.0])
         with pytest.raises(ValueError, match="variance"):
             correlation_jacobian(v)
 
@@ -286,7 +286,7 @@ class TestPooling:
     def test_constant_variable_ok_without_correlation(self):
         X = np.vstack([np.ones(8), np.arange(8.0)])
         est = pool_estimates(GroupedSample((X,)), include_correlation=False)
-        assert est.vhat[0].values[0] == 0.0
+        assert est.vhat[0][0] == 0.0
 
     @given(st.integers(0, 2**32 - 1))
     def test_translation_invariance(self, seed):
@@ -295,7 +295,7 @@ class TestPooling:
         shift = rng.uniform(-5, 5, size=(3, 1))
         a = pool_estimates(GroupedSample((X,)))
         b = pool_estimates(GroupedSample((X + shift,)))
-        assert_allclose(a.vhat[0].values, b.vhat[0].values, atol=1e-10)
+        assert_allclose(a.vhat[0], b.vhat[0], atol=1e-10)
         assert_allclose(a.Sigma[0], b.Sigma[0], atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1))
@@ -305,14 +305,14 @@ class TestPooling:
         scale = rng.uniform(0.1, 4.0, size=(3, 1))
         a = pool_estimates(GroupedSample((X,)))
         b = pool_estimates(GroupedSample((scale * X,)))
-        assert_allclose(a.rhat[0].values, b.rhat[0].values, atol=1e-10)
+        assert_allclose(a.rhat[0], b.rhat[0], atol=1e-10)
 
     def test_observation_order_irrelevant(self, rng):
         X = rng.standard_normal((3, 11))
         perm = rng.permutation(11)
         a = pool_estimates(GroupedSample((X,)))
         b = pool_estimates(GroupedSample((X[:, perm],)))
-        assert_allclose(a.vhat[0].values, b.vhat[0].values, atol=1e-12)
+        assert_allclose(a.vhat[0], b.vhat[0], atol=1e-12)
         assert_allclose(a.Sigma[0], b.Sigma[0], atol=1e-12)
 
     def test_dimensions(self, rng):
@@ -323,3 +323,10 @@ class TestPooling:
         assert est.Upsilon_pooled.shape == (6, 6)
         assert est.vhat_pooled.shape == (12,)
         assert est.rhat_pooled.shape == (6,)
+
+    def test_half_vectors_are_read_only(self, rng):
+        # engine._contrast caches G on the estimates, so they must not change
+        est = pool_estimates(GroupedSample((rng.standard_normal((3, 10)),)))
+        for v in (est.vhat[0], est.rhat[0]):
+            with pytest.raises(ValueError):
+                v[0] = 5.0

@@ -59,9 +59,9 @@ def dense_oracle(spec, sample):
     groups, N = sample.groups, sample.N
     S = [group_fourth_moment_cov(X) for X in groups]
     if spec.target == COVARIANCE:
-        theta = np.concatenate([group_cov_vector(X).values for X in groups])
+        theta = np.concatenate([group_cov_vector(X) for X in groups])
     else:
-        theta = np.concatenate([group_corr_vector(X).values for X in groups])
+        theta = np.concatenate([group_corr_vector(X) for X in groups])
         M = [correlation_jacobian(group_cov_vector(X)) for X in groups]
         S = [M_i @ S_i @ M_i.T for M_i, S_i in zip(M, S)]
     pooled = scipy.linalg.block_diag(*[(N / X.shape[1]) * S_i for X, S_i in zip(groups, S)])

@@ -22,7 +22,7 @@ def residual(spec, *matrices):
     parts = []
     for V in matrices:
         hv = vech(V) if spec.target == COVARIANCE else vech_strict(V)
-        parts.append(hv.values)
+        parts.append(hv)
     theta = np.concatenate(parts)
     if spec.transform is not None:
         theta = spec.transform.map(theta)
@@ -133,6 +133,28 @@ class TestPredefinedCovariance:
     def test_equal_needs_two_variables(self):
         with pytest.raises(ValueError, match="d >= 2"):
             predefined_hypothesis("equal", COVARIANCE, 1, 1)
+
+    @pytest.mark.parametrize("a", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    def test_diagonal_contrasts_match_explicit_loop(self, a, d):
+        # oracle: group i minus group i + 1 on each diagonal entry of the
+        # row-major half-vector, written out entry by entry; kron leaves
+        # -0.0 entries, so the comparison is by value
+        p = d * (d + 1) // 2
+        pairs = [(j, k) for j in range(d) for k in range(j, d)]
+        diag = [t for t, (j, k) in enumerate(pairs) if j == k]
+        diagonals = np.zeros(((a - 1) * d, a * p))
+        trace = np.zeros((a - 1, a * p))
+        for i in range(a - 1):
+            for r, t in enumerate(diag):
+                diagonals[i * d + r, i * p + t] = 1.0
+                diagonals[i * d + r, (i + 1) * p + t] = -1.0
+                trace[i, i * p + t] = 1.0
+                trace[i, (i + 1) * p + t] = -1.0
+        for name, expect in (("equal-diagonals", diagonals), ("equal-trace", trace)):
+            spec = predefined_hypothesis(name, COVARIANCE, a, d)
+            assert_array_equal(spec.C, expect)
+            assert_array_equal(spec.zeta, np.zeros(len(expect)))
 
 
 class TestPredefinedCorrelation:
@@ -251,7 +273,7 @@ class TestStructures:
 class TestRatioTransform:
     def test_ar_ratios_recover_the_parameter(self):
         spec = structure_hypothesis("autoregressive", COVARIANCE, 4)
-        theta = vech(ar_matrix(4, sigma2=1.7, rho=0.45)).values
+        theta = vech(ar_matrix(4, sigma2=1.7, rho=0.45))
         out = spec.transform.map(theta)
         assert_array_equal(out[:10], theta)
         assert_allclose(out[10:], [0.45, 0.45, 0.45], atol=1e-12)
@@ -259,7 +281,7 @@ class TestRatioTransform:
     def test_har_ratios_start_from_unit_mean(self):
         spec = structure_hypothesis("hautoregressive", CORRELATION, 4)
         R = ar_matrix(4, sigma2=1.0, rho=0.3)
-        theta = vech_strict(R).values
+        theta = vech_strict(R)
         out = spec.transform.map(theta)
         # first ratio divides by the implicit m_0 = 1
         assert_allclose(out[6:], [0.3, 0.3, 0.3], atol=1e-12)
@@ -269,7 +291,7 @@ class TestRatioTransform:
         V = np.eye(3)
         V[0, 1] = V[1, 0] = 0.5
         V[1, 2] = V[2, 1] = -0.5  # first subdiagonal mean is exactly zero
-        theta = vech(V).values
+        theta = vech(V)
         with pytest.raises(ValueError, match="ratio undefined"):
             spec.transform.map(theta)
         with pytest.raises(ValueError, match="ratio undefined"):
@@ -277,7 +299,7 @@ class TestRatioTransform:
 
     def test_domain_ok_on_spd_points(self, rng):
         spec = structure_hypothesis("autoregressive", COVARIANCE, 3)
-        theta = vech(ar_matrix(3)).values
+        theta = vech(ar_matrix(3))
         assert np.all(np.isfinite(spec.transform.map(theta)))
         assert np.all(np.isfinite(spec.transform.jacobian(theta)))
 
@@ -288,7 +310,7 @@ class TestRatioTransform:
             V = ar_matrix(4, sigma2=rng.uniform(0.5, 3.0), rho=rng.uniform(0.2, 0.8))
             V += 0.05 * make_spd(rng, 4)  # push off the exact structure
             hv = vech(V) if target == COVARIANCE else vech_strict(V / np.sqrt(np.outer(np.diag(V), np.diag(V))))
-            theta = hv.values
+            theta = hv
             J = spec.transform.jacobian(theta)
             h = 1e-6
             FD = np.empty_like(J)

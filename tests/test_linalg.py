@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.linalg import (
-    FULL,
-    STRICT,
-    HalfVec,
     block_diag,
     centering_matrix,
     full_length,
@@ -42,17 +39,17 @@ def symmetric(rng, d):
 class TestVech:
     def test_two_by_two(self):
         S = np.array([[4.0, 1.0], [1.0, 9.0]])
-        assert_array_equal(vech(S).values, [4.0, 1.0, 9.0])
+        assert_array_equal(vech(S), [4.0, 1.0, 9.0])
 
     def test_identity_three(self):
-        assert_array_equal(vech(np.eye(3)).values, [1, 0, 0, 1, 0, 1])
+        assert_array_equal(vech(np.eye(3)), [1, 0, 0, 1, 0, 1])
 
     def test_strict_two_by_two(self):
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert_array_equal(vech_strict(S).values, [0.5])
+        assert_array_equal(vech_strict(S), [0.5])
 
     def test_strict_identity_drops_diagonal(self):
-        assert_array_equal(vech_strict(np.eye(3)).values, np.zeros(3))
+        assert_array_equal(vech_strict(np.eye(3)), np.zeros(3))
 
     def test_strict_toeplitz_pattern(self):
         a, b, c = 0.7, 0.4, 0.1
@@ -64,7 +61,7 @@ class TestVech:
                 [c, b, a, 1.0],
             ]
         )
-        assert_array_equal(vech_strict(S).values, [a, b, c, a, b, a])
+        assert_array_equal(vech_strict(S), [a, b, c, a, b, a])
 
     def test_strict_needs_two_dims(self):
         with pytest.raises(ValueError, match="d >= 2"):
@@ -81,14 +78,14 @@ class TestVech:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_order_matches_rowmajor_scan(self, rng, d):
         S = symmetric(rng, d)
-        v = vech(S).values
+        v = vech(S)
         for t, (j, k) in enumerate(naive_pairs(d, strict=False)):
             assert v[t] == S[j, k]
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_strict_order_matches_scan(self, rng, d):
         S = symmetric(rng, d)
-        v = vech_strict(S).values
+        v = vech_strict(S)
         for t, (j, k) in enumerate(naive_pairs(d, strict=True)):
             assert v[t] == S[j, k]
 
@@ -144,40 +141,35 @@ class TestRoundTrip:
         rng = np.random.default_rng(seed)
         S = symmetric(rng, d)
         np.fill_diagonal(S, 1.0)
-        assert_array_equal(unvech(vech_strict(S)), S)
+        assert_array_equal(unvech(vech_strict(S), strict=True), S)
 
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_vech_of_unvech_is_identity(self, d, seed):
         x = np.random.default_rng(seed).standard_normal(full_length(d))
-        assert_array_equal(vech(unvech(x, FULL)).values, x)
+        assert_array_equal(vech(unvech(x)), x)
 
     def test_unvech_raw_array_defaults_to_full(self):
         S = unvech(np.array([1.0, 2.0, 3.0]))
         assert_array_equal(S, [[1.0, 2.0], [2.0, 3.0]])
 
-    def test_unvech_kind_conflict(self):
-        hv = vech_strict(np.eye(3))
-        with pytest.raises(ValueError, match="conflicts"):
-            unvech(hv, FULL)
-
     def test_unvech_strict_sets_unit_diagonal(self):
-        R = unvech(np.array([0.3, 0.2, 0.1]), STRICT)
+        R = unvech(np.array([0.3, 0.2, 0.1]), strict=True)
         assert_array_equal(np.diag(R), np.ones(3))
         assert R[0, 1] == 0.3 and R[0, 2] == 0.2 and R[1, 2] == 0.1
 
     def test_unvech_rejects_non_triangular_length(self):
         with pytest.raises(ValueError, match="triangular"):
-            unvech(np.ones(5), FULL)
+            unvech(np.ones(5))
+        for length in (0, 5):
+            with pytest.raises(ValueError, match="triangular"):
+                unvech(np.ones(length), strict=True)
 
-    def test_halfvec_validates_length(self):
-        with pytest.raises(ValueError):
-            HalfVec(np.ones(4), d=2, kind=FULL)
-
-    def test_halfvec_values_read_only(self):
-        hv = HalfVec.from_values(np.array([1.0, 0.0, 1.0]), FULL)
-        assert hv.d == 2
-        with pytest.raises(ValueError):
-            hv.values[0] = 5.0
+    def test_half_vectors_are_read_only(self):
+        S = np.array([[2.0, 0.5], [0.5, 1.0]])
+        for v in (vech(S), vech_strict(S)):
+            assert v.ndim == 1 and v.dtype == float
+            with pytest.raises(ValueError):
+                v[0] = 5.0
 
 
 class TestCentering:

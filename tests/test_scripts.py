@@ -1,0 +1,21 @@
+"""The example scripts run end to end against the package under test."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import subprocess_env
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo.py"],
+    ["size_study.py", "--runs", "20", "--repetitions", "500"],
+])
+def test_script_runs(argv):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
