@@ -160,23 +160,19 @@ def calibrate_beta(draws: np.ndarray, alpha: float) -> float:
     return lo / B
 
 
-def _exit_grid_index(col_sorted: np.ndarray, t: float, B: int) -> int | None:
-    """Smallest k at which t falls strictly outside the component band."""
+def _exit_levels(srt: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Per component, the smallest grid k at which T falls strictly outside
+    the band, or B where it never does.
 
-    def outside(k: int) -> bool:
-        lo_idx, hi_idx = _band_indices(B, k)
-        return t < col_sorted[lo_idx] or t > col_sorted[hi_idx]
-
-    if not outside(B - 1):
-        return None
-    lo, hi = 0, B - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if outside(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    T_j < srt[lo_k, j] exactly when lo_k reaches the count of draws <= T_j,
+    and T_j > srt[hi_k, j] exactly when hi_k falls below the count of draws
+    < T_j; lo_k grows and hi_k shrinks with k, so both are sorted lookups.
+    """
+    B = srt.shape[0]
+    lo, hi = _band_indices(B, np.arange(B))
+    below = np.searchsorted(lo, (srt <= T).sum(axis=0), side="left")
+    above = np.searchsorted(-hi, -(srt < T).sum(axis=0), side="right")
+    return np.minimum(below, above)
 
 
 @dataclass(frozen=True)
@@ -219,13 +215,11 @@ def combined_test(
     beta_tilde = calibrate_beta(draws, alpha)
 
     d = est.d
-    exits = [_exit_grid_index(srt[:, j], T[j], B) for j in range(len(T))]
+    exits = _exit_levels(srt, T)
 
-    def block_pvalue(block: list[int | None]) -> float:
-        ks = [k for k in block if k is not None]
-        if not ks:
-            return 1.0
-        return _outside_counts(srt, draws, min(ks)) / B
+    def block_pvalue(block: np.ndarray) -> float:
+        k = int(block.min())
+        return 1.0 if k == B else _outside_counts(srt, draws, k) / B
 
     p_var = block_pvalue(exits[:d])
     p_corr = block_pvalue(exits[d:])

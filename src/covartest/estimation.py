@@ -9,7 +9,8 @@ the delta-method Jacobian M_i mapping covariance coordinates to correlation
 coordinates, so that M_i F_i factors the correlation-scale covariance
 ``Upsilon``.  The engines work on these factors alone.  The dense per-group
 matrices and their block-diagonal pools with weights N/n_i are built on
-first access only.  Half-vectors are plain read-only 1-D arrays, so a
+first access only.  Half-vectors are plain 1-D arrays.  The estimates store
+every array read-only, copying those a caller could still write, so a
 contrast the engines cache on the estimates cannot go stale.
 """
 
@@ -21,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    _read_only,
     block_diag,
     full_length,
     strict_length,
@@ -175,6 +177,15 @@ def correlation_jacobian(v) -> np.ndarray:
     return M
 
 
+def _frozen(x) -> np.ndarray:
+    """x as a float array that no reference can write: read-only arrays
+    owning their data pass through, all others are copied."""
+    x = np.asarray(x, dtype=float)
+    if x.flags.writeable or not x.flags.owndata:
+        x = _read_only(x.copy())
+    return x
+
+
 @dataclass(frozen=True)
 class MomentEstimates:
     """Per-group moment estimates for one grouped sample.
@@ -190,6 +201,14 @@ class MomentEstimates:
     Sigma_factor: tuple[np.ndarray, ...]
     rhat: tuple[np.ndarray, ...] | None = None
     jacobian: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self) -> None:
+        # the engines cache a contrast on the estimates, so every array is
+        # stored read-only
+        for name in ("vhat", "Sigma_factor", "rhat", "jacobian"):
+            arrays = getattr(self, name)
+            if arrays is not None:
+                object.__setattr__(self, name, tuple(_frozen(x) for x in arrays))
 
     @property
     def a(self) -> int:
@@ -226,7 +245,7 @@ class MomentEstimates:
         """Factors M_i F_i of the correlation-scale covariances."""
         if self.jacobian is None:
             return None
-        return tuple(M @ F for M, F in zip(self.jacobian, self.Sigma_factor))
+        return tuple(_read_only(M @ F) for M, F in zip(self.jacobian, self.Sigma_factor))
 
     @cached_property
     def Sigma(self) -> tuple[np.ndarray, ...]:
@@ -258,7 +277,7 @@ def pool_estimates(sample: GroupedSample, include_correlation: bool | None = Non
     if include_correlation is None:
         include_correlation = sample.d >= 2
     vhat = tuple(group_cov_vector(g) for g in sample.groups)
-    factors = tuple(group_fourth_moment_factor(g) for g in sample.groups)
+    factors = tuple(_read_only(group_fourth_moment_factor(g)) for g in sample.groups)
     if not include_correlation:
         return MomentEstimates(d=sample.d, n=sample.n, vhat=vhat, Sigma_factor=factors)
     return MomentEstimates(
@@ -267,5 +286,5 @@ def pool_estimates(sample: GroupedSample, include_correlation: bool | None = Non
         vhat=vhat,
         Sigma_factor=factors,
         rhat=tuple(group_corr_vector(g) for g in sample.groups),
-        jacobian=tuple(correlation_jacobian(v) for v in vhat),
+        jacobian=tuple(_read_only(correlation_jacobian(v)) for v in vhat),
     )

@@ -7,6 +7,12 @@ matrices; all other equality patterns difference successive entries.
 Structural nulls (a single group) cover diagonal, spherical, compound
 symmetric, Toeplitz and first-order autoregressive shapes; the
 autoregressive ones are nonlinear and carry the transform with them.
+
+The catalog is two tables keyed by target.  ``STRUCTURES`` maps each canonical
+structure name to its short alias, its smallest d (with the reason, where
+one is printed) and the builder of its contrast rows, which is None for
+the autoregressive shapes.  ``PREDEFINED`` maps each predefined name to
+the group counts it accepts: exactly one, at least two, or any.
 """
 
 from __future__ import annotations
@@ -30,45 +36,6 @@ COVARIANCE = "covariance"
 CORRELATION = "correlation"
 
 _TARGETS = (COVARIANCE, CORRELATION)
-
-PREDEFINED_NAMES = {
-    COVARIANCE: (
-        "equal",
-        "equal-trace",
-        "equal-diagonals",
-        "given-trace",
-        "given-matrix",
-        "uncorrelated",
-    ),
-    CORRELATION: ("equal-correlated", "uncorrelated"),
-}
-
-STRUCTURE_ALIASES = {
-    COVARIANCE: {
-        "autoregressive": "autoregressive",
-        "ar": "autoregressive",
-        "fo-autoregressive": "fo-autoregressive",
-        "fo-ar": "fo-autoregressive",
-        "diagonal": "diagonal",
-        "diag": "diagonal",
-        "sphericity": "sphericity",
-        "spher": "sphericity",
-        "compoundsymmetry": "compoundsymmetry",
-        "cs": "compoundsymmetry",
-        "toeplitz": "toeplitz",
-        "toep": "toeplitz",
-    },
-    CORRELATION: {
-        "hautoregressive": "hautoregressive",
-        "har": "hautoregressive",
-        "htoeplitz": "htoeplitz",
-        "htoep": "htoeplitz",
-        "hcompoundsymmetry": "hcompoundsymmetry",
-        "hcs": "hcompoundsymmetry",
-        "diagonal": "diagonal",
-        "diag": "diagonal",
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -170,11 +137,16 @@ def _difference_rows(q: int, positions: np.ndarray) -> np.ndarray:
     return C
 
 
-def _stack_or_empty(blocks: list[np.ndarray], q: int) -> np.ndarray:
-    blocks = [b for b in blocks if b.shape[0] > 0]
-    if not blocks:
-        return np.zeros((0, q))
-    return np.vstack(blocks)
+def _equal_variance_rows(d: int, *below: np.ndarray) -> np.ndarray:
+    """Rows equating the variances of one covariance, stacked over ``below``."""
+    return np.vstack([_difference_rows(full_length(d), vech_diag_positions(d)), *below])
+
+
+def _offdiag_rows(target: str, d: int) -> np.ndarray:
+    """Rows of one group's "no off-diagonal entry" null for the target."""
+    if target == CORRELATION:
+        return np.eye(strict_length(d))
+    return _selector_rows(full_length(d), vech_offdiag_positions(d))
 
 
 def _toeplitz_rows(d: int, strict: bool) -> np.ndarray:
@@ -185,7 +157,7 @@ def _toeplitz_rows(d: int, strict: bool) -> np.ndarray:
         blocks.append(_difference_rows(q, vech_diag_positions(d)))
     for h in range(1, d):
         blocks.append(_difference_rows(q, vech_subdiagonal_positions(d, h, strict=strict)))
-    return _stack_or_empty(blocks, q)
+    return np.vstack(blocks)
 
 
 def _ratio_transform(d: int, strict: bool) -> TransformSpec:
@@ -241,11 +213,6 @@ def _ratio_transform(d: int, strict: bool) -> TransformSpec:
 
 
 def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
-    if d < 3:
-        raise ValueError(
-            f"structure {label!r} needs d >= 3: fewer than two subdiagonal "
-            "ratios leave nothing to compare"
-        )
     strict = target == CORRELATION
     transform = _ratio_transform(d, strict=strict)
     q = transform.input_dim
@@ -265,69 +232,56 @@ def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
     )
 
 
+_RATIOS = "fewer than two subdiagonal ratios leave nothing to compare"
+
+# canonical name -> (short alias, smallest d, reason printed with it,
+# contrast rows for d); rows None marks an autoregressive shape
+STRUCTURES = {
+    COVARIANCE: {
+        "autoregressive": ("ar", 3, _RATIOS, None),
+        "fo-autoregressive": ("fo-ar", 3, _RATIOS, None),
+        "diagonal": ("diag", 2, "", lambda d: _offdiag_rows(COVARIANCE, d)),
+        "sphericity": ("spher", 2, "", lambda d: _equal_variance_rows(d, _offdiag_rows(COVARIANCE, d))),
+        "compoundsymmetry": ("cs", 2, "", lambda d: _equal_variance_rows(
+            d, _difference_rows(full_length(d), vech_offdiag_positions(d)))),
+        "toeplitz": ("toep", 2, "", lambda d: _toeplitz_rows(d, strict=False)),
+    },
+    CORRELATION: {
+        "hautoregressive": ("har", 3, _RATIOS, None),
+        "htoeplitz": ("htoep", 3, "subdiagonals of a 2x2 matrix hold one entry each",
+                      lambda d: _toeplitz_rows(d, strict=True)),
+        "hcompoundsymmetry": ("hcs", 3, "a single correlation leaves nothing to compare",
+                              lambda d: _difference_rows(strict_length(d), np.arange(strict_length(d)))),
+        "diagonal": ("diag", 2, "", lambda d: _offdiag_rows(CORRELATION, d)),
+    },
+}
+
+# predefined name -> the group counts it accepts
+PREDEFINED = {
+    COVARIANCE: {"equal": "any", "equal-trace": "several", "equal-diagonals": "several",
+                 "given-trace": "one", "given-matrix": "one", "uncorrelated": "one"},
+    CORRELATION: {"equal-correlated": "any", "uncorrelated": "one"},
+}
+
+
 def structure_hypothesis(name: str, target: str, d: int) -> HypothesisSpec:
     """Structural null for a single group: the named shape of V or R."""
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
-    aliases = STRUCTURE_ALIASES[target]
-    if name not in aliases:
-        valid = sorted(set(aliases.values()))
+    table = STRUCTURES[target]
+    canonical = next((c for c, row in table.items() if name in (c, row[0])), None)
+    if canonical is None:
         raise ValueError(
-            f"unknown {target} structure {name!r}; valid structures: {', '.join(valid)}"
+            f"unknown {target} structure {name!r}; valid structures: {', '.join(sorted(table))}"
         )
-    canonical = aliases[name]
-    p = full_length(d)
-    ps = strict_length(d)
-
-    if canonical in ("autoregressive", "fo-autoregressive", "hautoregressive"):
+    _, min_d, reason, rows = table[canonical]
+    if d < min_d:
+        raise ValueError(
+            f"structure {canonical!r} needs d >= {min_d}" + (f": {reason}" if reason else "")
+        )
+    if rows is None:
         return _autoregressive_spec(target, d, canonical)
-
-    if target == COVARIANCE:
-        if canonical == "diagonal":
-            if d < 2:
-                raise ValueError("structure 'diagonal' needs d >= 2")
-            C = _selector_rows(p, vech_offdiag_positions(d))
-        elif canonical == "sphericity":
-            if d < 2:
-                raise ValueError("structure 'sphericity' needs d >= 2")
-            C = np.vstack([
-                _difference_rows(p, vech_diag_positions(d)),
-                _selector_rows(p, vech_offdiag_positions(d)),
-            ])
-        elif canonical == "compoundsymmetry":
-            if d < 2:
-                raise ValueError("structure 'compoundsymmetry' needs d >= 2")
-            C = _stack_or_empty(
-                [
-                    _difference_rows(p, vech_diag_positions(d)),
-                    _difference_rows(p, vech_offdiag_positions(d)),
-                ],
-                p,
-            )
-        else:  # toeplitz
-            if d < 2:
-                raise ValueError("structure 'toeplitz' needs d >= 2")
-            C = _toeplitz_rows(d, strict=False)
-    else:
-        if canonical == "diagonal":
-            if d < 2:
-                raise ValueError("structure 'diagonal' needs d >= 2")
-            C = np.eye(ps)
-        elif canonical == "hcompoundsymmetry":
-            if d < 3:
-                raise ValueError(
-                    "structure 'hcompoundsymmetry' needs d >= 3: a single "
-                    "correlation leaves nothing to compare"
-                )
-            C = _difference_rows(ps, np.arange(ps))
-        else:  # htoeplitz
-            if d < 3:
-                raise ValueError(
-                    "structure 'htoeplitz' needs d >= 3: subdiagonals of a 2x2 "
-                    "matrix hold one entry each"
-                )
-            C = _toeplitz_rows(d, strict=True)
-
+    C = rows(d)
     return HypothesisSpec(
         target=target, C=C, zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
     )
@@ -344,88 +298,68 @@ def predefined_hypothesis(
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
-    if name not in PREDEFINED_NAMES[target]:
-        valid = ", ".join(PREDEFINED_NAMES[target])
+    if name not in PREDEFINED[target]:
+        valid = ", ".join(PREDEFINED[target])
         raise ValueError(
             f"unknown {target} hypothesis {name!r}; valid names: {valid}"
         )
     if a < 1:
         raise ValueError(f"group count must be positive, got {a}")
-    p = full_length(d)
-    ps = strict_length(d)
     if extra is not None and name not in ("given-trace", "given-matrix"):
         raise ValueError(f"hypothesis {name!r} takes no extra parameter")
+    if target == CORRELATION and d < 2:
+        raise ValueError("correlation hypotheses need d >= 2")
+    groups = PREDEFINED[target][name]
+    if groups == "one" and a != 1:
+        raise ValueError(f"hypothesis {name!r} is only defined for one group")
+    if groups == "several" and a < 2:
+        raise ValueError(f"hypothesis {name!r} needs at least two groups")
+    q = full_length(d) if target == COVARIANCE else strict_length(d)
+    zeta = None
 
-    C: np.ndarray
-    zeta: np.ndarray
-
-    if target == COVARIANCE:
-        if name == "equal":
-            if a == 1:
-                if d < 2:
-                    raise ValueError("hypothesis 'equal' with one group needs d >= 2")
-                C = _difference_rows(p, vech_diag_positions(d))
-            else:
-                C = np.kron(centering_matrix(a), np.eye(p))
-            zeta = np.zeros(C.shape[0])
-        elif name in ("equal-trace", "equal-diagonals"):
-            if a < 2:
-                raise ValueError(f"hypothesis {name!r} needs at least two groups")
-            # group i minus group i + 1 on the diagonal entries, or on
-            # their sum for the trace
-            diag_rows = _selector_rows(p, vech_diag_positions(d))
-            if name == "equal-trace":
-                diag_rows = diag_rows.sum(axis=0, keepdims=True)
-            C = np.kron(_difference_rows(a, np.arange(a)), diag_rows)
-            zeta = np.zeros(C.shape[0])
-        elif name == "given-trace":
-            if a != 1:
-                raise ValueError("hypothesis 'given-trace' is only defined for one group")
-            if extra is None:
-                raise ValueError("hypothesis 'given-trace' needs the target trace")
-            gamma = float(extra)
-            if not np.isfinite(gamma) or gamma <= 0.0:
-                raise ValueError(f"the target trace must be positive, got {extra!r}")
-            C = np.zeros((1, p))
-            C[0, vech_diag_positions(d)] = 1.0
-            zeta = np.array([gamma])
-        elif name == "given-matrix":
-            if a != 1:
-                raise ValueError("hypothesis 'given-matrix' is only defined for one group")
-            if extra is None:
-                raise ValueError("hypothesis 'given-matrix' needs the target matrix")
-            V = np.asarray(extra, dtype=float)
-            if V.shape != (d, d):
-                raise ValueError(f"the target matrix must be {d}x{d}, got shape {V.shape}")
-            C = np.eye(p)
-            zeta = vech(V)  # raises if V is not symmetric
-        else:  # uncorrelated
-            if a != 1:
-                raise ValueError("hypothesis 'uncorrelated' is only defined for one group")
-            if d < 2:
-                raise ValueError("hypothesis 'uncorrelated' needs d >= 2")
-            C = _selector_rows(p, vech_offdiag_positions(d))
-            zeta = np.zeros(C.shape[0])
-    else:
+    if name in ("equal", "equal-correlated") and a > 1:
+        C = np.kron(centering_matrix(a), np.eye(q))
+    elif name == "equal":
         if d < 2:
-            raise ValueError("correlation hypotheses need d >= 2")
-        if name == "equal-correlated":
-            if a == 1:
-                if ps < 2:
-                    raise ValueError(
-                        "hypothesis 'equal-correlated' with one group needs d >= 3: "
-                        "a single correlation leaves nothing to compare"
-                    )
-                C = centering_matrix(ps)
-            else:
-                C = np.kron(centering_matrix(a), np.eye(ps))
-            zeta = np.zeros(C.shape[0])
-        else:  # uncorrelated
-            if a != 1:
-                raise ValueError("hypothesis 'uncorrelated' is only defined for one group")
-            C = np.eye(ps)
-            zeta = np.zeros(ps)
+            raise ValueError("hypothesis 'equal' with one group needs d >= 2")
+        C = _equal_variance_rows(d)
+    elif name == "equal-correlated":
+        if q < 2:
+            raise ValueError(
+                "hypothesis 'equal-correlated' with one group needs d >= 3: "
+                "a single correlation leaves nothing to compare"
+            )
+        C = centering_matrix(q)
+    elif name == "uncorrelated":
+        if d < 2:
+            raise ValueError("hypothesis 'uncorrelated' needs d >= 2")
+        C = _offdiag_rows(target, d)
+    elif name == "given-trace":
+        if extra is None:
+            raise ValueError("hypothesis 'given-trace' needs the target trace")
+        gamma = float(extra)
+        if not np.isfinite(gamma) or gamma <= 0.0:
+            raise ValueError(f"the target trace must be positive, got {extra!r}")
+        C = _selector_rows(q, vech_diag_positions(d)).sum(axis=0, keepdims=True)
+        zeta = np.array([gamma])
+    elif name == "given-matrix":
+        if extra is None:
+            raise ValueError("hypothesis 'given-matrix' needs the target matrix")
+        V = np.asarray(extra, dtype=float)
+        if V.shape != (d, d):
+            raise ValueError(f"the target matrix must be {d}x{d}, got shape {V.shape}")
+        C = np.eye(q)
+        zeta = vech(V)  # raises if V is not symmetric
+    else:  # equal-trace, equal-diagonals
+        # group i minus group i + 1 on the diagonal entries, or on
+        # their sum for the trace
+        diag_rows = _selector_rows(q, vech_diag_positions(d))
+        if name == "equal-trace":
+            diag_rows = diag_rows.sum(axis=0, keepdims=True)
+        C = np.kron(_difference_rows(a, np.arange(a)), diag_rows)
 
+    if zeta is None:
+        zeta = np.zeros(C.shape[0])
     return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d)
 
 

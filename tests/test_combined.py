@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.combined import (
+    _exit_levels,
     calibrate_beta,
     calibration_rejection_rate,
     combined_statistic,
@@ -121,6 +122,21 @@ class TestBands:
         rates = [calibration_rejection_rate(draws, k / 2000) for k in (0, 20, 100, 400)]
         assert rates[0] == 0.0
         assert rates == sorted(rates)
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 17, 40])
+    def test_exit_levels_match_every_grid_band(self, rng, B):
+        # oracle: the first k whose band from reference_bands excludes the
+        # component, scanning every grid level; B where none does
+        for _ in range(20):
+            draws = rng.integers(-3, 4, size=(B, 6)).astype(float)  # ties
+            draws[:, 0] = 1.0  # a constant column
+            draws[:, 1] = rng.standard_normal(B)
+            T = np.concatenate([rng.integers(-4, 5, size=4), 3.0 * rng.standard_normal(2)])
+            expect = np.full(6, B)
+            for k in range(B - 1, -1, -1):
+                lo, hi = reference_bands(draws, k / B)
+                expect[(T < lo) | (T > hi)] = k
+            assert_array_equal(_exit_levels(np.sort(draws, axis=0), T), expect)
 
 
 class TestCalibration:

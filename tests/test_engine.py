@@ -279,6 +279,35 @@ class TestRunTest:
             run_test(sample, spec, repetitions=500, seed=1, alpha=1.5)
 
 
+class TestGroupPermutation:
+    # centering contrasts treat the groups alike, so reordering them keeps
+    # the statistic and the MC/TAY weights.  Not asserted for BT, which
+    # draws its per-group denominators in group order (same law, another
+    # stream), nor for equal-trace and equal-diagonals, whose successive
+    # differences depend on the order.
+    @pytest.mark.parametrize(
+        "name,target,methods",
+        [("equal", COVARIANCE, ("MC",)), ("equal-correlated", CORRELATION, ("MC", "TAY"))],
+    )
+    def test_group_order_leaves_statistic_and_pvalue(self, rng, name, target, methods):
+        for _ in range(10):
+            a, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            groups = [
+                gaussian_sample(rng, make_spd(rng, d), int(rng.integers(8, 40)))
+                for _ in range(a)
+            ]
+            perm = rng.permutation(a)
+            while np.all(perm == np.arange(a)):
+                perm = rng.permutation(a)
+            spec = predefined_hypothesis(name, target, a, d)
+            seed = int(rng.integers(2**32))
+            for method in methods:
+                r = run_test(GroupedSample(tuple(groups)), spec, method, 1000, seed)
+                s = run_test(GroupedSample(tuple(groups[i] for i in perm)), spec, method, 1000, seed)
+                assert_allclose(s.statistic, r.statistic, rtol=1e-12)
+                assert s.p_value == r.p_value
+
+
 class TestSeeds:
     def test_fresh_seed_range(self):
         for _ in range(5):

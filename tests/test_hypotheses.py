@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,6 +11,8 @@ from covartest.estimation import GroupedSample, pool_estimates
 from covartest.hypotheses import (
     COVARIANCE,
     CORRELATION,
+    PREDEFINED,
+    STRUCTURES,
     HypothesisSpec,
     custom_hypothesis,
     predefined_hypothesis,
@@ -364,3 +369,35 @@ class TestCustomSpec:
             spec.C[0, 0] = 5.0
         with pytest.raises(ValueError):
             spec.zeta[0] = 1.0
+
+
+# ------------------------------------------------------- README catalog
+
+def _readme_section(start: str, end: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text[text.index(start):text.index(end, text.index(start))]
+
+
+class TestReadmeCatalog:
+    """The README documents exactly the names and aliases of the catalog."""
+
+    @pytest.mark.parametrize("target,start,end", [
+        (COVARIANCE, "Covariance structures (target", "Correlation structures (target"),
+        (CORRELATION, "Correlation structures (target", "The `h` prefix"),
+    ])
+    def test_structures(self, target, start, end):
+        text = _readme_section(start, end)
+        pairs = re.findall(r"`([\w-]+)`\s+\(`([\w-]+)`\)", text)
+        assert sorted(pairs) == sorted((c, row[0]) for c, row in STRUCTURES[target].items())
+        # besides the target, the paragraph names nothing else
+        assert len(re.findall(r"`[\w-]+`", text)) == 1 + 2 * len(pairs)
+
+    @pytest.mark.parametrize("target,start,end", [
+        (COVARIANCE, "Covariance target:", "Correlation target:"),
+        (CORRELATION, "Correlation target:", "Custom linear hypotheses"),
+    ])
+    def test_predefined(self, target, start, end):
+        # name and groups column of every table row
+        rows = re.findall(r"^\|\s*`([\w-]+)`.*\|\s*([^|]*?)\s*\|$", _readme_section(start, end), flags=re.M)
+        groups = {"1": "one", ">= 2": "several", "any": "any"}
+        assert sorted((name, groups[g]) for name, g in rows) == sorted(PREDEFINED[target].items())
