@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .combined import CombinedReport, combined_test
-from .engine import TestReport, fresh_seed, run_test, statistic_covariance
+from .engine import TestReport, run_test, statistic_covariance
 from .estimation import GroupedSample, pool_estimates
 from .hypotheses import (
     CORRELATION,
@@ -337,7 +337,6 @@ def run(args: argparse.Namespace) -> int:
     out of floating-point range ends in one numerical error line.
     """
     sample = ingest(args.data, args.group_column, args.group_sizes)
-    seed = args.seed if args.seed is not None else fresh_seed()
 
     if args.target == "combined":
         if sample.a != 2:
@@ -348,7 +347,7 @@ def run(args: argparse.Namespace) -> int:
             report = combined_test(
                 sample,
                 repetitions=args.repetitions,
-                seed=seed,
+                seed=args.seed,
                 alpha=args.alpha,
             )
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -395,7 +394,7 @@ def run(args: argparse.Namespace) -> int:
             spec,
             method=args.method,
             repetitions=args.repetitions,
-            seed=seed,
+            seed=args.seed,
             alpha=args.alpha,
             est=est,
         )

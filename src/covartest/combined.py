@@ -11,7 +11,9 @@ themselves, stays at the requested level; the componentwise bands are
 order-statistic quantiles of the draws.  Rejection of a block (the
 variance part or the correlation part) is inverted into a p-value on the
 grid of steps 1/B, and the global p-value for equality of the two
-covariance matrices is the smaller of the two block p-values.
+covariance matrices is the smaller of the two block p-values.  The
+statistic and the reference take the moment estimates only;
+``combined_test`` pools the sample once and passes the estimates to both.
 """
 
 from __future__ import annotations
@@ -35,31 +37,20 @@ from .linalg import vech_diag_positions
 _FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
-def combined_statistic(sample: GroupedSample, est: MomentEstimates | None = None) -> np.ndarray:
+def combined_statistic(est: MomentEstimates) -> np.ndarray:
     """sqrt(N) times the difference of stacked variances and correlations."""
-    if sample.a != 2:
-        raise ValueError(f"the combined test requires exactly two groups, got {sample.a}")
-    if sample.d < 2:
+    if est.a != 2:
+        raise ValueError(f"the combined test requires exactly two groups, got {est.a}")
+    if est.d < 2:
         raise ValueError("the combined test requires d >= 2")
-    if est is None:
-        est = pool_estimates(sample, include_correlation=True)
+    if not est.has_correlation:
+        raise ValueError("estimates lack correlation components")
     diag = vech_diag_positions(est.d)
     parts = [
         np.concatenate([est.vhat[i][diag], est.rhat[i]])
         for i in range(2)
     ]
     return np.sqrt(est.N) * (parts[0] - parts[1])
-
-
-def _factor_draws(rng: np.random.Generator, B: int, factors):
-    """Blocks (lo, hi, U) of B rows of sum_i Z_i @ factors[i].T, with
-    standard normal Z_i drawn one factor after another per block."""
-    m = factors[0].shape[0]
-    for lo, hi in _row_blocks(B, m, _FACTOR_CHUNK_ELEMENTS):
-        U = rng.standard_normal((hi - lo, factors[0].shape[1])) @ factors[0].T
-        for F in factors[1:]:
-            U += rng.standard_normal((hi - lo, F.shape[1])) @ F.T
-        yield lo, hi, U
 
 
 def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
@@ -88,9 +79,11 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     # the rows of A_i are selector rows (entries 1) and Jacobian rows
     A_max = np.array([1.0, *(np.abs(M).max() for M in est.jacobian)])
     _check_trace(sum(float(np.vdot(W_i, W_i)) for W_i in W), A_max, est.vhat_pooled)
+    rng = _root_rng(seed)
     out = np.empty((B, W[0].shape[0]))
-    for lo, hi, U in _factor_draws(_root_rng(seed), B, [W[0], -W[1]]):
-        out[lo:hi] = U
+    for lo, hi in _row_blocks(B, out.shape[1], _FACTOR_CHUNK_ELEMENTS):
+        out[lo:hi] = rng.standard_normal((hi - lo, W[0].shape[1])) @ W[0].T
+        out[lo:hi] -= rng.standard_normal((hi - lo, W[1].shape[1])) @ W[1].T
     return out
 
 
@@ -101,39 +94,10 @@ def _band_indices(B: int, k: int) -> tuple[int, int]:
     return ((B - 1) * k) // (2 * B), ((B - 1) * (2 * B - k)) // (2 * B)
 
 
-def reference_bands(draws: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise order-statistic band [q_{beta/2}, q_{1-beta/2}]."""
-    draws = np.asarray(draws, dtype=float)
-    B = draws.shape[0]
-    k = _beta_to_grid(B, beta)
-    lo, hi = _band_indices(B, k)
-    srt = np.sort(draws, axis=0)
-    return srt[lo], srt[hi]
-
-
-def _beta_to_grid(B: int, beta: float) -> int:
-    k = int(round(beta * B))
-    if not 0 <= k <= B - 1 or abs(k - beta * B) > 1e-9:
-        raise ValueError(
-            f"beta must be a grid value j/B with 0 <= j < B, got {beta} for B={B}"
-        )
-    return k
-
-
 def _outside_counts(srt: np.ndarray, draws: np.ndarray, k: int) -> int:
     lo_idx, hi_idx = _band_indices(draws.shape[0], k)
     outside = (draws < srt[lo_idx]) | (draws > srt[hi_idx])
     return int(np.any(outside, axis=1).sum())
-
-
-def calibration_rejection_rate(draws: np.ndarray, beta: float) -> float:
-    """Share of draws with any component strictly outside its band."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError("draws must be a B x P array")
-    B = draws.shape[0]
-    srt = np.sort(draws, axis=0)
-    return _outside_counts(srt, draws, _beta_to_grid(B, beta)) / B
 
 
 def calibrate_beta(draws: np.ndarray, alpha: float) -> float:
@@ -208,7 +172,7 @@ def combined_test(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     seed = _normalize_seed(seed)
     est = pool_estimates(sample, include_correlation=True)
-    T = combined_statistic(sample, est=est)
+    T = combined_statistic(est)
     draws = simulate_reference(est, repetitions, seed)
     B = repetitions
     srt = np.sort(draws, axis=0)

@@ -26,6 +26,11 @@ seed, in blocks of rows whose size depends only on the problem's
 dimensions, so a rerun with the same seed is byte-identical.  BT draws from
 its exact law: for Gaussian pseudo-samples the redrawn mean and covariance
 are independent, so numerator and denominator are weighted chi-square sums.
+
+The three references take the hypothesis and the moment estimates only,
+never the raw sample.  ``run_test`` pools the sample once, unless the
+caller passes estimates, and hands the same estimates to the statistic and
+to the reference.
 """
 
 from __future__ import annotations
@@ -189,11 +194,7 @@ def mc_reference(
 
 
 def bootstrap_reference(
-    sample: GroupedSample,
-    spec: HypothesisSpec,
-    B: int,
-    seed: int,
-    est: MomentEstimates | None = None,
+    spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int
 ) -> np.ndarray:
     """Parametric-bootstrap draws of the statistic under the null.
 
@@ -206,8 +207,6 @@ def bootstrap_reference(
     sum_k w_k chi2_1 / sum_i sum_j mu_ij chi2_{n_i-1} / (n_i-1), where
     w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).
     """
-    if est is None:
-        est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
     c = _contrast(spec, est)
     _check_repetitions(B)
     w = _gram_spectrum(c.G)
@@ -219,11 +218,7 @@ def bootstrap_reference(
 
 
 def taylor_reference(
-    sample: GroupedSample,
-    spec: HypothesisSpec,
-    B: int,
-    seed: int,
-    est: MomentEstimates | None = None,
+    spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int
 ) -> np.ndarray:
     """Delta-method reference draws for correlation targets.
 
@@ -235,8 +230,6 @@ def taylor_reference(
     """
     if spec.target != CORRELATION:
         raise ValueError("Taylor method applies to correlation targets only")
-    if est is None:
-        est = pool_estimates(sample, include_correlation=True)
     c = _contrast(spec, est)
     _check_repetitions(B)
     return _limit_draws(c, B, seed)
@@ -298,9 +291,9 @@ def run_test(
     if method == "MC":
         ref = mc_reference(spec, est, repetitions, seed)
     elif method == "BT":
-        ref = bootstrap_reference(sample, spec, repetitions, seed, est=est)
+        ref = bootstrap_reference(spec, est, repetitions, seed)
     else:
-        ref = taylor_reference(sample, spec, repetitions, seed, est=est)
+        ref = taylor_reference(spec, est, repetitions, seed)
     return TestReport(
         statistic=observed,
         p_value=float(np.mean(ref >= observed)),

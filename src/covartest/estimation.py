@@ -7,11 +7,13 @@ factor F_i of the empirical fourth-moment covariance ``Sigma`` of
 ``sqrt(n) * vhat`` (F_i F_i^T = Sigma_i, at most min(n_i, p) columns), and
 the delta-method Jacobian M_i mapping covariance coordinates to correlation
 coordinates, so that M_i F_i factors the correlation-scale covariance
-``Upsilon``.  The engines work on these factors alone.  The dense per-group
-matrices and their block-diagonal pools with weights N/n_i are built on
-first access only.  Half-vectors are plain 1-D arrays.  The estimates store
-every array read-only, copying those a caller could still write, so a
-contrast the engines cache on the estimates cannot go stale.
+``Upsilon``.  The engines and the combined test work on these factors
+alone: their references take the estimates only, never the raw sample.
+The block-diagonal pools of the dense matrices with weights N/n_i are
+built from the factors on first access only.  Half-vectors are plain 1-D
+arrays.  The estimates store every array read-only, copying those a
+caller could still write, so a contrast the engines cache on the
+estimates cannot go stale.
 """
 
 from __future__ import annotations
@@ -102,19 +104,6 @@ def _outer_product_contributions(X) -> np.ndarray:
     return W - W.mean(axis=1, keepdims=True)
 
 
-def group_fourth_moment_cov(X) -> np.ndarray:
-    """Empirical covariance of sqrt(n) times the half-vectorized covariance.
-
-    Each centered observation contributes the half-vectorization of its
-    outer product, recentered by the group mean of those outer products;
-    the estimator is the outer-product average of these contributions with
-    divisor n - 1.
-    """
-    Wc = _outer_product_contributions(X)
-    S = Wc @ Wc.T / (Wc.shape[1] - 1)
-    return (S + S.T) / 2.0
-
-
 def group_fourth_moment_factor(X) -> np.ndarray:
     """Exact factor F of the fourth-moment covariance, F @ F.T = Sigma.
 
@@ -191,8 +180,8 @@ class MomentEstimates:
     """Per-group moment estimates for one grouped sample.
 
     ``Sigma_factor`` holds exact factors of the fourth-moment covariances;
-    ``Sigma``, ``Upsilon`` and their block-diagonal pools are dense
-    matrices built from them on first access.
+    the block-diagonal pools ``Sigma_pooled`` and ``Upsilon_pooled`` are
+    dense matrices built from the factors on first access.
     """
 
     d: int
@@ -219,14 +208,6 @@ class MomentEstimates:
         return sum(self.n)
 
     @property
-    def p(self) -> int:
-        return full_length(self.d)
-
-    @property
-    def p_strict(self) -> int:
-        return strict_length(self.d)
-
-    @property
     def vhat_pooled(self) -> np.ndarray:
         return np.concatenate(self.vhat)
 
@@ -248,24 +229,17 @@ class MomentEstimates:
         return tuple(_read_only(M @ F) for M, F in zip(self.jacobian, self.Sigma_factor))
 
     @cached_property
-    def Sigma(self) -> tuple[np.ndarray, ...]:
-        return tuple(F @ F.T for F in self.Sigma_factor)
-
-    @cached_property
-    def Upsilon(self) -> tuple[np.ndarray, ...] | None:
-        if self.Upsilon_factor is None:
-            return None
-        return tuple(F @ F.T for F in self.Upsilon_factor)
-
-    @cached_property
     def Sigma_pooled(self) -> np.ndarray:
-        return block_diag(self.Sigma, [self.N / n_i for n_i in self.n])
+        return self._pooled(self.Sigma_factor)
 
     @cached_property
     def Upsilon_pooled(self) -> np.ndarray | None:
-        if self.Upsilon is None:
+        if self.Upsilon_factor is None:
             return None
-        return block_diag(self.Upsilon, [self.N / n_i for n_i in self.n])
+        return self._pooled(self.Upsilon_factor)
+
+    def _pooled(self, factors) -> np.ndarray:
+        return block_diag([F @ F.T for F in factors], [self.N / n_i for n_i in self.n])
 
 
 def pool_estimates(sample: GroupedSample, include_correlation: bool | None = None) -> MomentEstimates:

@@ -118,23 +118,6 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def psd_factor(S, clamp_tol: float = 1e-10) -> np.ndarray:
-    """Factor L with L @ L.T equal to S for a positive semidefinite S.
-
-    Built from the eigendecomposition so that rank-deficient inputs are
-    accepted; eigenvalues below ``clamp_tol`` times the largest one are
-    clamped to zero.  An eigenvalue below ``-clamp_tol * ||S||`` means the
-    input is materially indefinite and is rejected.
-    """
-    S = _check_square_symmetric(S)
-    w, Q = np.linalg.eigh(S)
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    if w.size and w[0] < -clamp_tol * scale:
-        raise ValueError("matrix not positive semidefinite")
-    w = np.where(w < clamp_tol * max(w[-1], 0.0), 0.0, w)
-    return Q * np.sqrt(w)
-
-
 def block_diag(blocks, weights=None) -> np.ndarray:
     """Block-diagonal assembly of square blocks, optionally scaled per block."""
     blocks = [np.asarray(b, dtype=float) for b in blocks]

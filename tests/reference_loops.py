@@ -10,12 +10,19 @@ covariances through their own ``_theta_and_pooled`` and take factors from
 ``psd_factor``, so they stay independent of that path.  The tests compare
 the laws of the two by two-sample KS tests.  Worker threads are left out:
 they never changed the output.
+
+The dense helpers below the loops have no caller in the package, so they
+live here: ``psd_factor``, ``group_fourth_moment_cov``, the dense
+per-group matrices ``dense_sigma`` and ``dense_upsilon``, and the band
+helpers ``reference_bands`` and ``calibration_rejection_rate`` of the
+combined test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from covartest.combined import _band_indices, _outside_counts
 from covartest.engine import (
     _check_compatible,
     _check_repetitions,
@@ -23,9 +30,19 @@ from covartest.engine import (
     _normalize_seed,
     _resolve,
 )
-from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
+from covartest.estimation import (
+    GroupedSample,
+    MomentEstimates,
+    _outer_product_contributions,
+    pool_estimates,
+)
 from covartest.hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
-from covartest.linalg import psd_factor, vech_diag_positions
+from covartest.linalg import (
+    _check_square_symmetric,
+    full_length,
+    strict_length,
+    vech_diag_positions,
+)
 
 _MC_CHUNK_ELEMENTS = 1 << 22
 
@@ -82,9 +99,9 @@ def _bootstrap_ingredients(spec: HypothesisSpec, est: MomentEstimates):
     theta, _ = _theta_and_pooled(spec, est)
     _, E = _resolve(spec, theta)
     if spec.target == COVARIANCE:
-        dim, mats = est.p, est.Sigma
+        dim, mats = full_length(est.d), dense_sigma(est)
     else:
-        dim, mats = est.p_strict, est.Upsilon
+        dim, mats = strict_length(est.d), dense_upsilon(est)
     factors = [psd_factor(S) for S in mats]
     blocks = [E[:, i * dim:(i + 1) * dim] for i in range(est.a)]
     return E, dim, factors, blocks
@@ -147,10 +164,10 @@ def taylor_reference_loop(
     if not denom > 0.0:
         raise ValueError("hypothesis covariance degenerate: zero trace")
     N = est.N
-    ps = est.p_strict
-    p = est.p
+    ps = strict_length(est.d)
+    p = full_length(est.d)
     K = []
-    for i, (n_i, Sig, M) in enumerate(zip(est.n, est.Sigma, est.jacobian)):
+    for i, (n_i, Sig, M) in enumerate(zip(est.n, dense_sigma(est), est.jacobian)):
         L = psd_factor(Sig)
         K.append(E[:, i * ps:(i + 1) * ps] @ (np.sqrt(N / n_i) * (M @ L)))
 
@@ -174,12 +191,12 @@ def simulate_reference_loop(est: MomentEstimates, B: int, seed: int) -> np.ndarr
     seed = _normalize_seed(seed)
     N = est.N
     d = est.d
-    p = est.p
+    p = full_length(d)
     diag = vech_diag_positions(d)
     selector = np.zeros((d, p))
     selector[np.arange(d), diag] = 1.0
     W = []
-    for n_i, Sig, M in zip(est.n, est.Sigma, est.jacobian):
+    for n_i, Sig, M in zip(est.n, dense_sigma(est), est.jacobian):
         A = np.vstack([selector, M])
         W.append(np.sqrt(N / n_i) * (A @ psd_factor(Sig)))
     out = np.empty((B, W[0].shape[0]))
@@ -189,3 +206,76 @@ def simulate_reference_loop(est: MomentEstimates, B: int, seed: int) -> np.ndarr
         draw -= W[1] @ rng.standard_normal(p)
         out[b] = draw
     return out
+
+
+# ----------------------------------------------------- dense helpers
+
+def psd_factor(S, clamp_tol: float = 1e-10) -> np.ndarray:
+    """Factor L with L @ L.T equal to S for a positive semidefinite S.
+
+    Built from the eigendecomposition so that rank-deficient inputs are
+    accepted; eigenvalues below ``clamp_tol`` times the largest one are
+    clamped to zero.  An eigenvalue below ``-clamp_tol * ||S||`` means the
+    input is materially indefinite and is rejected.
+    """
+    S = _check_square_symmetric(S)
+    w, Q = np.linalg.eigh(S)
+    scale = np.max(np.abs(w)) if w.size else 0.0
+    if w.size and w[0] < -clamp_tol * scale:
+        raise ValueError("matrix not positive semidefinite")
+    w = np.where(w < clamp_tol * max(w[-1], 0.0), 0.0, w)
+    return Q * np.sqrt(w)
+
+
+def group_fourth_moment_cov(X) -> np.ndarray:
+    """Empirical covariance of sqrt(n) times the half-vectorized covariance.
+
+    Each centered observation contributes the half-vectorization of its
+    outer product, recentered by the group mean of those outer products;
+    the estimator is the outer-product average of these contributions with
+    divisor n - 1.
+    """
+    Wc = _outer_product_contributions(X)
+    S = Wc @ Wc.T / (Wc.shape[1] - 1)
+    return (S + S.T) / 2.0
+
+
+def dense_sigma(est: MomentEstimates) -> tuple[np.ndarray, ...]:
+    """Dense per-group fourth-moment covariances F_i F_i^T."""
+    return tuple(F @ F.T for F in est.Sigma_factor)
+
+
+def dense_upsilon(est: MomentEstimates) -> tuple[np.ndarray, ...] | None:
+    """Dense per-group correlation-scale covariances (M_i F_i)(M_i F_i)^T."""
+    if est.Upsilon_factor is None:
+        return None
+    return tuple(F @ F.T for F in est.Upsilon_factor)
+
+
+def reference_bands(draws: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise order-statistic band [q_{beta/2}, q_{1-beta/2}]."""
+    draws = np.asarray(draws, dtype=float)
+    B = draws.shape[0]
+    k = _beta_to_grid(B, beta)
+    lo, hi = _band_indices(B, k)
+    srt = np.sort(draws, axis=0)
+    return srt[lo], srt[hi]
+
+
+def _beta_to_grid(B: int, beta: float) -> int:
+    k = int(round(beta * B))
+    if not 0 <= k <= B - 1 or abs(k - beta * B) > 1e-9:
+        raise ValueError(
+            f"beta must be a grid value j/B with 0 <= j < B, got {beta} for B={B}"
+        )
+    return k
+
+
+def calibration_rejection_rate(draws: np.ndarray, beta: float) -> float:
+    """Share of draws with any component strictly outside its band."""
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2:
+        raise ValueError("draws must be a B x P array")
+    B = draws.shape[0]
+    srt = np.sort(draws, axis=0)
+    return _outside_counts(srt, draws, _beta_to_grid(B, beta)) / B

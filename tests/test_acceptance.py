@@ -17,7 +17,6 @@ from scipy import stats
 from covartest.cli import main
 from covartest.combined import (
     calibrate_beta,
-    calibration_rejection_rate,
     combined_test,
     simulate_reference,
 )
@@ -26,7 +25,6 @@ from covartest.estimation import (
     GroupedSample,
     group_corr_vector,
     group_cov_vector,
-    group_fourth_moment_cov,
     pool_estimates,
     correlation_jacobian,
 )
@@ -38,6 +36,7 @@ from covartest.hypotheses import (
 )
 from covartest.linalg import vech, vech_strict
 from conftest import gaussian_sample, make_spd, synthetic_estimates
+from reference_loops import calibration_rejection_rate, group_fourth_moment_cov
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "eeg_wide.csv")
 

@@ -5,14 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from covartest.combined import (
     _exit_levels,
     calibrate_beta,
-    calibration_rejection_rate,
     combined_statistic,
     combined_test,
-    reference_bands,
     simulate_reference,
 )
 from covartest.estimation import GroupedSample, pool_estimates
 from conftest import gaussian_sample, make_spd, synthetic_estimates
+from reference_loops import calibration_rejection_rate, dense_sigma, reference_bands
 
 
 def two_groups(rng, d=3, n=(40, 50), scale2=1.0):
@@ -25,13 +24,13 @@ def two_groups(rng, d=3, n=(40, 50), scale2=1.0):
 class TestCombinedStatistic:
     def test_identical_groups_give_zero(self, rng):
         X = rng.standard_normal((3, 25))
-        T = combined_statistic(GroupedSample((X, X.copy())))
+        T = combined_statistic(pool_estimates(GroupedSample((X, X.copy()))))
         assert_array_equal(T, np.zeros(6))
 
     def test_hand_formula_d2(self, rng):
         sample = two_groups(rng, d=2)
         est = pool_estimates(sample)
-        T = combined_statistic(sample, est=est)
+        T = combined_statistic(est)
         v1, v2 = est.vhat[0], est.vhat[1]
         r1, r2 = est.rhat[0], est.rhat[1]
         expect = np.sqrt(est.N) * np.array(
@@ -43,7 +42,7 @@ class TestCombinedStatistic:
         X = rng.standard_normal((3, 30))
         Y = X.copy()
         Y[1] *= 2.0
-        T = combined_statistic(GroupedSample((X, Y)))
+        T = combined_statistic(pool_estimates(GroupedSample((X, Y))))
         # correlations are scale free, so the tail block stays zero
         assert_allclose(T[3:], np.zeros(3), atol=1e-10)
         assert abs(T[1]) > 0.1
@@ -51,16 +50,21 @@ class TestCombinedStatistic:
 
     def test_needs_two_groups(self, rng):
         with pytest.raises(ValueError, match="two groups"):
-            combined_statistic(GroupedSample((rng.standard_normal((3, 10)),)))
+            combined_statistic(pool_estimates(GroupedSample((rng.standard_normal((3, 10)),))))
         with pytest.raises(ValueError, match="two groups"):
-            combined_statistic(
+            combined_statistic(pool_estimates(
                 GroupedSample(tuple(rng.standard_normal((3, 10)) for _ in range(3)))
-            )
+            ))
 
     def test_needs_two_variables(self, rng):
         sample = GroupedSample((rng.standard_normal((1, 10)), rng.standard_normal((1, 12))))
         with pytest.raises(ValueError, match="d >= 2"):
-            combined_statistic(sample)
+            combined_statistic(pool_estimates(sample))
+
+    def test_needs_correlation_estimates(self, rng):
+        est = pool_estimates(two_groups(rng), include_correlation=False)
+        with pytest.raises(ValueError, match="lack correlation"):
+            combined_statistic(est)
 
 
 class TestSimulateReference:
@@ -80,13 +84,13 @@ class TestSimulateReference:
         est = pool_estimates(sample)
         draws = simulate_reference(est, B=100000, seed=12)
         emp = np.cov(draws.T)
-        from covartest.linalg import vech_diag_positions
+        from covartest.linalg import full_length, vech_diag_positions
 
-        d, p, N = est.d, est.p, est.N
+        d, p, N = est.d, full_length(est.d), est.N
         selector = np.zeros((d, p))
         selector[np.arange(d), vech_diag_positions(d)] = 1.0
         target = np.zeros((2 * d, 2 * d))
-        for n_i, Sig, M in zip(est.n, est.Sigma, est.jacobian):
+        for n_i, Sig, M in zip(est.n, dense_sigma(est), est.jacobian):
             A = np.vstack([selector, M])
             target += (N / n_i) * (A @ Sig @ A.T)
         big = np.abs(target) >= 0.2 * np.abs(target).max()
@@ -240,7 +244,7 @@ class TestCombinedTest:
         rep = combined_test(sample, repetitions=B, seed=seed)
         est = pool_estimates(sample)
         draws = simulate_reference(est, B=B, seed=seed)
-        T = combined_statistic(sample, est=est)
+        T = combined_statistic(est)
         d = est.d
         for alpha in (0.01, 0.02, 0.05, 0.10, 0.25):
             beta = calibrate_beta(draws, alpha)

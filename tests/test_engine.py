@@ -134,9 +134,9 @@ class TestBootstrap:
     def test_deterministic_and_thread_invariant(self, rng):
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
-        a = bootstrap_reference(sample, spec, B=512, seed=11)
-        b = bootstrap_reference(sample, spec, B=512, seed=11)
-        c = bootstrap_reference(sample, spec, B=512, seed=11)
+        a = bootstrap_reference(spec, pool_estimates(sample), B=512, seed=11)
+        b = bootstrap_reference(spec, pool_estimates(sample), B=512, seed=11)
+        c = bootstrap_reference(spec, pool_estimates(sample), B=512, seed=11)
         assert_array_equal(a, b)
         assert_array_equal(a, c)
 
@@ -151,7 +151,7 @@ class TestBootstrap:
     def test_draws_are_nonnegative(self, rng):
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
-        draws = bootstrap_reference(sample, spec, B=512, seed=2)
+        draws = bootstrap_reference(spec, pool_estimates(sample), B=512, seed=2)
         assert draws.shape == (512,)
         assert np.all(draws >= 0.0)
 
@@ -167,7 +167,7 @@ class TestBootstrap:
         sample = GroupedSample((rng.standard_normal((2, 2)), rng.standard_normal((2, 2))))
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 2)
         with pytest.raises(ValueError, match="zero trace"):
-            bootstrap_reference(sample, spec, B=500, seed=1)
+            bootstrap_reference(spec, pool_estimates(sample), B=500, seed=1)
 
 
 class TestTaylor:
@@ -175,13 +175,13 @@ class TestTaylor:
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
         with pytest.raises(ValueError, match="correlation"):
-            taylor_reference(sample, spec, B=100, seed=1)
+            taylor_reference(spec, pool_estimates(sample), B=100, seed=1)
 
     def test_deterministic_and_thread_invariant(self, rng):
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
-        a = taylor_reference(sample, spec, B=512, seed=17)
-        b = taylor_reference(sample, spec, B=512, seed=17)
+        a = taylor_reference(spec, pool_estimates(sample), B=512, seed=17)
+        b = taylor_reference(spec, pool_estimates(sample), B=512, seed=17)
         assert_array_equal(a, b)
 
     def test_agrees_with_mc(self, rng):

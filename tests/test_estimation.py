@@ -11,12 +11,12 @@ from covartest.estimation import (
     correlation_jacobian,
     group_corr_vector,
     group_cov_vector,
-    group_fourth_moment_cov,
     pool_estimates,
 )
 from covartest.hypotheses import predefined_hypothesis
-from covartest.linalg import unvech, vech, vech_strict
+from covartest.linalg import full_length, strict_length, unvech, vech, vech_strict
 from conftest import gaussian_sample, make_spd
+from reference_loops import dense_sigma, dense_upsilon, group_fourth_moment_cov
 
 
 # ---------------------------------------------------------------- oracles
@@ -221,7 +221,7 @@ class TestUpsilon:
         M = correlation_jacobian(v)
         est = MomentEstimates(d=2, n=(10,), vhat=(v,), Sigma_factor=(np.linalg.cholesky(S),),
                               jacobian=(M,))
-        U = est.Upsilon[0]
+        U = dense_upsilon(est)[0]
         assert U.shape == (1, 1)
         assert_allclose(U, M @ S @ M.T, atol=1e-12)
 
@@ -253,15 +253,15 @@ class TestPooling:
         s = GroupedSample((rng.standard_normal((3, 12)),))
         est = pool_estimates(s)
         # N / n_1 = 1, so pooling changes nothing
-        assert_array_equal(est.Sigma_pooled, est.Sigma[0])
-        assert_array_equal(est.Upsilon_pooled, est.Upsilon[0])
+        assert_array_equal(est.Sigma_pooled, dense_sigma(est)[0])
+        assert_array_equal(est.Upsilon_pooled, dense_upsilon(est)[0])
 
     def test_two_equal_groups_double_the_blocks(self, rng):
         X = rng.standard_normal((2, 15))
         Y = rng.standard_normal((2, 15))
         est = pool_estimates(GroupedSample((X, Y)))
-        assert_allclose(est.Sigma_pooled[:3, :3], 2.0 * est.Sigma[0], atol=1e-12)
-        assert_allclose(est.Sigma_pooled[3:, 3:], 2.0 * est.Sigma[1], atol=1e-12)
+        assert_allclose(est.Sigma_pooled[:3, :3], 2.0 * dense_sigma(est)[0], atol=1e-12)
+        assert_allclose(est.Sigma_pooled[3:, 3:], 2.0 * dense_sigma(est)[1], atol=1e-12)
 
     def test_off_blocks_exactly_zero(self, rng):
         s = GroupedSample((rng.standard_normal((2, 8)), rng.standard_normal((2, 9))))
@@ -272,8 +272,8 @@ class TestPooling:
     def test_unbalanced_weights(self, rng):
         s = GroupedSample((rng.standard_normal((2, 10)), rng.standard_normal((2, 30))))
         est = pool_estimates(s)
-        assert_allclose(est.Sigma_pooled[:3, :3], 4.0 * est.Sigma[0], atol=1e-12)
-        assert_allclose(est.Sigma_pooled[3:, 3:], (4.0 / 3.0) * est.Sigma[1], atol=1e-12)
+        assert_allclose(est.Sigma_pooled[:3, :3], 4.0 * dense_sigma(est)[0], atol=1e-12)
+        assert_allclose(est.Sigma_pooled[3:, 3:], (4.0 / 3.0) * dense_sigma(est)[1], atol=1e-12)
 
     def test_correlation_skipped_when_disabled(self, rng):
         s = GroupedSample((rng.standard_normal((3, 10)),))
@@ -298,7 +298,7 @@ class TestPooling:
         a = pool_estimates(GroupedSample((X,)))
         b = pool_estimates(GroupedSample((X + shift,)))
         assert_allclose(a.vhat[0], b.vhat[0], atol=1e-10)
-        assert_allclose(a.Sigma[0], b.Sigma[0], atol=1e-10)
+        assert_allclose(dense_sigma(a)[0], dense_sigma(b)[0], atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1))
     def test_correlation_scale_invariance(self, seed):
@@ -315,12 +315,12 @@ class TestPooling:
         a = pool_estimates(GroupedSample((X,)))
         b = pool_estimates(GroupedSample((X[:, perm],)))
         assert_allclose(a.vhat[0], b.vhat[0], atol=1e-12)
-        assert_allclose(a.Sigma[0], b.Sigma[0], atol=1e-12)
+        assert_allclose(dense_sigma(a)[0], dense_sigma(b)[0], atol=1e-12)
 
     def test_dimensions(self, rng):
         s = GroupedSample((rng.standard_normal((3, 10)), rng.standard_normal((3, 12))))
         est = pool_estimates(s)
-        assert est.p == 6 and est.p_strict == 3 and est.N == 22
+        assert full_length(est.d) == 6 and strict_length(est.d) == 3 and est.N == 22
         assert est.Sigma_pooled.shape == (12, 12)
         assert est.Upsilon_pooled.shape == (6, 6)
         assert est.vhat_pooled.shape == (12,)

@@ -8,7 +8,6 @@ from covartest.linalg import (
     block_diag,
     centering_matrix,
     full_length,
-    psd_factor,
     strict_length,
     unvech,
     vech,
@@ -20,6 +19,7 @@ from covartest.linalg import (
 )
 from covartest.engine import _gram_spectrum
 from conftest import make_spd
+from reference_loops import psd_factor
 
 
 def naive_pairs(d, strict):

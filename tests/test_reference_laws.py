@@ -32,6 +32,7 @@ from covartest.hypotheses import (
 from conftest import gaussian_sample, make_spd
 from reference_loops import (
     bootstrap_reference_loop,
+    dense_sigma,
     mc_reference_loop,
     simulate_reference_loop,
     taylor_reference_loop,
@@ -68,7 +69,7 @@ def test_bootstrap_law_matches_loop(target, name, d, n):
     spec = predefined_hypothesis(name, target, len(n), d)
     est = pool_estimates(sample, include_correlation=target == CORRELATION)
     assert_same_law(
-        bootstrap_reference(sample, spec, B=B, seed=7, est=est),
+        bootstrap_reference(spec, est, B=B, seed=7),
         bootstrap_reference_loop(sample, spec, B=B, seed=8, est=est),
     )
 
@@ -80,9 +81,9 @@ def test_bootstrap_law_matches_loop_with_a_null_group():
     sample = GroupedSample((null, sample_of(606, 2, (40,)).groups[0]))
     spec = predefined_hypothesis("equal", COVARIANCE, 2, 2)
     est = pool_estimates(sample)
-    assert not np.any(est.Sigma[0])
+    assert not np.any(dense_sigma(est)[0])
     assert_same_law(
-        bootstrap_reference(sample, spec, B=B, seed=16, est=est),
+        bootstrap_reference(spec, est, B=B, seed=16),
         bootstrap_reference_loop(sample, spec, B=B, seed=17, est=est),
     )
 
@@ -94,7 +95,7 @@ def test_taylor_law_matches_loop_equal_correlated():
     spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 5)
     est = pool_estimates(sample)
     assert_same_law(
-        taylor_reference(sample, spec, B=B, seed=9, est=est),
+        taylor_reference(spec, est, B=B, seed=9),
         taylor_reference_loop(sample, spec, B=B, seed=10, est=est),
     )
 
@@ -106,7 +107,7 @@ def test_taylor_law_matches_loop_hautoregressive():
     spec = structure_hypothesis("hautoregressive", CORRELATION, 4)
     est = pool_estimates(sample)
     assert_same_law(
-        taylor_reference(sample, spec, B=B, seed=11, est=est),
+        taylor_reference(spec, est, B=B, seed=11),
         taylor_reference_loop(sample, spec, B=B, seed=12, est=est),
     )
 
@@ -127,7 +128,7 @@ def test_taylor_draws_equal_mc_draws(seed, d, n, structure):
     else:
         spec = structure_hypothesis(structure, CORRELATION, d)
     est = pool_estimates(sample)
-    tay = taylor_reference(sample, spec, B=3000, seed=21, est=est)
+    tay = taylor_reference(spec, est, B=3000, seed=21)
     mc = mc_reference(spec, pool_estimates(sample), B=3000, seed=21)
     assert tay.tobytes() == mc.tobytes()
 
