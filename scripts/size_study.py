@@ -23,7 +23,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,23 +41,7 @@ def design_matrix(kind: str, d: int, rho: float) -> np.ndarray:
     raise ValueError(f"unknown design {kind!r}")
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    test: str            # covariance | correlation | combined
-    hypothesis: str
-    method: str          # MC | BT | TAY (ignored for combined)
-    d: int
-    n: tuple[int, ...]
-    design: str
-    rho: float
-    scale2: float        # covariance multiplier for group 2 (1.0 = null)
-    alpha: float
-    repetitions: int
-    runs: int
-    seed: int
-
-
-def run_study(config: StudyConfig) -> tuple[float, float]:
+def run_study(config: argparse.Namespace) -> tuple[float, float]:
     """Rejection fraction and its binomial standard error."""
     V = design_matrix(config.design, config.d, config.rho)
     if min(np.linalg.eigvalsh(V)) <= 0.0:
@@ -111,7 +94,7 @@ def run_study(config: StudyConfig) -> tuple[float, float]:
     return rate, se
 
 
-def parse_args(argv: list[str] | None = None) -> StudyConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--test", choices=("covariance", "correlation", "combined"),
@@ -132,25 +115,10 @@ def parse_args(argv: list[str] | None = None) -> StudyConfig:
     parser.add_argument("--runs", type=int, default=500)
     parser.add_argument("--seed", type=int, default=20250817)
     args = parser.parse_args(argv)
-
-    hypothesis = args.hypothesis
-    if hypothesis is None:
-        hypothesis = "equal-correlated" if args.test == "correlation" else "equal"
-    n = tuple(int(part) for part in args.n.split(","))
-    return StudyConfig(
-        test=args.test,
-        hypothesis=hypothesis,
-        method=args.method,
-        d=args.d,
-        n=n,
-        design=args.design,
-        rho=args.rho,
-        scale2=args.scale2,
-        alpha=args.alpha,
-        repetitions=args.repetitions,
-        runs=args.runs,
-        seed=args.seed,
-    )
+    if args.hypothesis is None:
+        args.hypothesis = "equal-correlated" if args.test == "correlation" else "equal"
+    args.n = tuple(int(part) for part in args.n.split(","))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

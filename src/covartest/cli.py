@@ -16,12 +16,13 @@ import warnings
 
 import numpy as np
 
-from .combined import CombinedReport, combined_test
-from .engine import TestReport, run_test, statistic_covariance
+from .combined import combined_test
+from .engine import run_test, statistic_covariance
 from .estimation import GroupedSample, pool_estimates
 from .hypotheses import (
     CORRELATION,
     COVARIANCE,
+    HypothesisSpec,
     custom_hypothesis,
     predefined_hypothesis,
     structure_hypothesis,
@@ -32,20 +33,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_TARGETS = (
-    "covariance",
-    "correlation",
-    "combined",
-    "covariance-structure",
-    "correlation-structure",
-)
-
+# the --target choices, in help order, with their report titles
 _TITLES = {
     "covariance": "Covariance test",
     "correlation": "Correlation test",
+    "combined": "Combined variance/correlation test",
     "covariance-structure": "Covariance structure test",
     "correlation-structure": "Correlation structure test",
-    "combined": "Combined variance/correlation test",
 }
 
 
@@ -71,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--group-sizes",
         help="comma-separated group sizes partitioning the rows in order",
     )
-    parser.add_argument("--target", required=True, choices=_TARGETS)
+    parser.add_argument("--target", required=True, choices=_TITLES)
     parser.add_argument("--hypothesis", help="name of a predefined hypothesis")
     parser.add_argument("--C", dest="C_path", help="CSV file with a custom contrast matrix")
     parser.add_argument("--zeta", dest="zeta_path", help="CSV file with the custom right-hand side")
@@ -141,7 +135,7 @@ def _validate_config(args: argparse.Namespace) -> argparse.Namespace:
 
     if args.method is None:
         args.method = "MC"
-    if args.method == "TAY" and target not in ("correlation", "correlation-structure", "combined"):
+    if args.method == "TAY" and target not in ("correlation", "correlation-structure"):
         raise ConfigError("Taylor method applies to correlation targets only")
     if args.repetitions < 1:
         raise ConfigError(f"--repetitions must be positive, got {args.repetitions}")
@@ -151,6 +145,8 @@ def _validate_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"--threads must be positive, got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.hypothesis == "given-matrix" and args.matrix_path is None:
+        raise ConfigError("hypothesis 'given-matrix' needs --matrix")
     return args
 
 
@@ -263,70 +259,43 @@ def _format_pvalue(p: float, B: int) -> str:
     return f"p = {p:.3f}"
 
 
-def _render_text(report: TestReport, title: str) -> str:
-    n_list = ", ".join(str(n) for n in report.n)
-    lines = [
-        title,
-        f"Groups:      {len(report.n)} (n = {n_list})",
-        f"Hypothesis:  {report.label}",
-        f"Statistic:   {report.statistic:.4f}",
-        f"p-value:     {_format_pvalue(report.p_value, report.repetitions)}",
-        f"Method:      {report.method}, B = {report.repetitions}",
-        f"Seed:        {report.seed}",
-    ]
-    return "\n".join(lines)
+def _render(title: str, rows: dict, payload: dict, output: str) -> str:
+    """The report as indented JSON, or as the title over aligned rows."""
+    if output == "json":
+        return json.dumps(payload, indent=2)
+    width = max(map(len, rows)) + 3
+    lines = [f"{label + ':':<{width}}{value}" for label, value in rows.items()]
+    return "\n".join([title, *lines])
 
 
-def _render_json(report: TestReport, title: str, H: np.ndarray) -> str:
-    payload = {
-        "test": title,
-        "hypothesis": report.label,
-        "target": report.target,
-        "groups": len(report.n),
-        "n": list(report.n),
-        "statistic": report.statistic,
-        "p_value": report.p_value,
-        "p_display": _format_pvalue(report.p_value, report.repetitions),
-        "method": report.method,
-        "repetitions": report.repetitions,
-        "seed": report.seed,
-        "alpha": report.alpha,
-        "critical_value": report.critical_value,
-        "statistic_covariance": [[float(x) for x in row] for row in H],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def _render_combined_text(report: CombinedReport) -> str:
-    n_list = ", ".join(str(n) for n in report.n)
-    B = report.repetitions
-    lines = [
-        _TITLES["combined"],
-        f"Groups:                2 (n = {n_list})",
-        f"p-value variances:     {_format_pvalue(report.p_variances, B)}",
-        f"p-value correlations:  {_format_pvalue(report.p_correlations, B)}",
-        f"p-value total:         {_format_pvalue(report.p_total, B)}",
-        f"Method:                TAY, B = {B}",
-        f"Seed:                  {report.seed}",
-    ]
-    return "\n".join(lines)
-
-
-def _render_combined_json(report: CombinedReport) -> str:
-    payload = {
-        "test": _TITLES["combined"],
-        "groups": 2,
-        "n": list(report.n),
-        "p_variances": report.p_variances,
-        "p_correlations": report.p_correlations,
-        "p_total": report.p_total,
-        "beta_tilde": report.beta_tilde,
-        "method": "TAY",
-        "repetitions": report.repetitions,
-        "seed": report.seed,
-        "alpha": report.alpha,
-    }
-    return json.dumps(payload, indent=2)
+def _hypothesis(args: argparse.Namespace, sample: GroupedSample) -> HypothesisSpec | None:
+    """The null the flags name for this sample; None for the combined test."""
+    if args.target == "combined":
+        if sample.a != 2:
+            raise ConfigError(
+                f"the combined test requires exactly two groups, got {sample.a}"
+            )
+        return None
+    base_target = COVARIANCE if args.target.startswith("covariance") else CORRELATION
+    try:
+        if args.target.endswith("-structure"):
+            if sample.a != 1:
+                raise ConfigError(
+                    f"structure hypotheses are defined for a single group, got {sample.a}"
+                )
+            return structure_hypothesis(args.structure, base_target, sample.d)
+        if args.hypothesis is not None:
+            extra = args.gamma
+            if args.hypothesis == "given-matrix":
+                extra = _load_array(args.matrix_path, "matrix", ndmin=2)
+            return predefined_hypothesis(
+                args.hypothesis, base_target, sample.a, sample.d, extra=extra
+            )
+        C = _load_array(args.C_path, "contrast", ndmin=2)
+        zeta = _load_array(args.zeta_path, "zeta", ndmin=1).ravel()
+        return custom_hypothesis(C, zeta, base_target, sample.a, sample.d)
+    except (ValueError, FloatingPointError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -337,79 +306,74 @@ def run(args: argparse.Namespace) -> int:
     out of floating-point range ends in one numerical error line.
     """
     sample = ingest(args.data, args.group_column, args.group_sizes)
-
-    if args.target == "combined":
-        if sample.a != 2:
-            raise ConfigError(
-                f"the combined test requires exactly two groups, got {sample.a}"
-            )
-        try:
+    spec = _hypothesis(args, sample)
+    try:
+        if spec is None:
             report = combined_test(
+                sample, repetitions=args.repetitions, seed=args.seed, alpha=args.alpha
+            )
+        else:
+            est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
+            report = run_test(
                 sample,
+                spec,
+                method=args.method,
                 repetitions=args.repetitions,
                 seed=args.seed,
                 alpha=args.alpha,
+                est=est,
             )
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise _Numerical(str(exc)) from exc
-        text = (
-            _render_combined_text(report)
-            if args.output == "text"
-            else _render_combined_json(report)
-        )
-        print(text)
-        return EXIT_OK
-
-    base_target = COVARIANCE if args.target.startswith("covariance") else CORRELATION
-    structural = args.target.endswith("-structure")
-    try:
-        if structural:
-            if sample.a != 1:
-                raise ConfigError(
-                    f"structure hypotheses are defined for a single group, got {sample.a}"
-                )
-            spec = structure_hypothesis(args.structure, base_target, sample.d)
-        elif args.hypothesis is not None:
-            extra = None
-            if args.hypothesis == "given-trace":
-                extra = args.gamma
-            elif args.hypothesis == "given-matrix":
-                if args.matrix_path is None:
-                    raise ConfigError("hypothesis 'given-matrix' needs --matrix")
-                extra = _load_array(args.matrix_path, "matrix", ndmin=2)
-            spec = predefined_hypothesis(
-                args.hypothesis, base_target, sample.a, sample.d, extra=extra
-            )
-        else:
-            C = _load_array(args.C_path, "contrast", ndmin=2)
-            zeta = _load_array(args.zeta_path, "zeta", ndmin=1).ravel()
-            spec = custom_hypothesis(C, zeta, base_target, sample.a, sample.d)
-    except (ValueError, FloatingPointError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        est = pool_estimates(sample, include_correlation=base_target == CORRELATION)
-        report = run_test(
-            sample,
-            spec,
-            method=args.method,
-            repetitions=args.repetitions,
-            seed=args.seed,
-            alpha=args.alpha,
-            est=est,
-        )
-        if args.output == "json":
-            H = statistic_covariance(spec, est)
+            H = statistic_covariance(spec, est).tolist() if args.output == "json" else None
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise _Numerical(str(exc)) from exc
 
     title = _TITLES[args.target]
-    text = (
-        _render_text(report, title)
-        if args.output == "text"
-        else _render_json(report, title, H)
-    )
-    print(text)
+    B = report.repetitions
+    n_list = ", ".join(str(n) for n in report.n)
+    rows = {"Groups": f"{len(report.n)} (n = {n_list})"}
+    if spec is None:
+        method, tail = "TAY", {}
+        rows |= {
+            "p-value variances": _format_pvalue(report.p_variances, B),
+            "p-value correlations": _format_pvalue(report.p_correlations, B),
+            "p-value total": _format_pvalue(report.p_total, B),
+        }
+        payload = {
+            "test": title,
+            "groups": 2,
+            "n": list(report.n),
+            "p_variances": report.p_variances,
+            "p_correlations": report.p_correlations,
+            "p_total": report.p_total,
+            "beta_tilde": report.beta_tilde,
+        }
+    else:
+        method = report.method
+        tail = {"critical_value": report.critical_value, "statistic_covariance": H}
+        rows |= {
+            "Hypothesis": report.label,
+            "Statistic": f"{report.statistic:.4f}",
+            "p-value": _format_pvalue(report.p_value, B),
+        }
+        payload = {
+            "test": title,
+            "hypothesis": report.label,
+            "target": report.target,
+            "groups": len(report.n),
+            "n": list(report.n),
+            "statistic": report.statistic,
+            "p_value": report.p_value,
+            "p_display": rows["p-value"],
+        }
+    rows |= {"Method": f"{method}, B = {B}", "Seed": report.seed}
+    payload |= {
+        "method": method,
+        "repetitions": B,
+        "seed": report.seed,
+        "alpha": report.alpha,
+        **tail,
+    }
+    print(_render(title, rows, payload, args.output))
     return EXIT_OK
 
 

@@ -287,6 +287,11 @@ def run_test(
     seed = _normalize_seed(seed)
     if est is None:
         est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
+    elif est.n != sample.n or est.d != sample.d:
+        raise ValueError(
+            f"estimates of n = {est.n}, d = {est.d} do not belong to "
+            f"the sample of n = {sample.n}, d = {sample.d}"
+        )
     observed = ats(spec, est)
     if method == "MC":
         ref = mc_reference(spec, est, repetitions, seed)

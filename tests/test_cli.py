@@ -139,6 +139,38 @@ class TestRuns:
         stat_line = [l for l in out.splitlines() if l.startswith("Statistic")][0]
         assert len(stat_line.split()[-1].split(".")[1]) == 4
 
+    # the full text reports, every line and its alignment; they show 3-4
+    # decimals, so unlike the JSON floats they hold across BLAS builds
+    @pytest.mark.parametrize("argv, expect", [
+        (
+            ["--target", "covariance", "--hypothesis", "equal", "--seed", "7"],
+            "Covariance test\n"
+            "Groups:      2 (n = 30, 35)\n"
+            "Hypothesis:  equal\n"
+            "Statistic:   1.4071\n"
+            "p-value:     p = 0.205\n"
+            "Method:      MC, B = 600\n"
+            "Seed:        7\n",
+        ),
+        (
+            ["--target", "combined", "--seed", "17"],
+            "Combined variance/correlation test\n"
+            "Groups:                2 (n = 30, 35)\n"
+            "p-value variances:     p = 0.543\n"
+            "p-value correlations:  p = 0.230\n"
+            "p-value total:         p = 0.230\n"
+            "Method:                TAY, B = 600\n"
+            "Seed:                  17\n",
+        ),
+    ], ids=["covariance-equal", "combined"])
+    def test_full_text_report(self, tmp_path, capsys, argv, expect):
+        path = two_group_file(tmp_path)
+        code = main(["--data", path, "--group-column", "g", "--repetitions", "600", *argv])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == expect
+        assert captured.err == ""
+
     def test_json_keys_and_rerun_identical(self, tmp_path, capsys):
         path = two_group_file(tmp_path)
         argv = [
@@ -367,6 +399,12 @@ class TestExitCodes:
         argv = self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "equal",
                         "--matrix", "V.csv")
         self.assert_config_error(capsys, argv, "given-matrix")
+
+    def test_given_matrix_needs_matrix_before_reading_data(self, tmp_path, capsys):
+        # a flag-only check: it fires even though the data file is missing
+        argv = ["--data", str(tmp_path / "gone.csv"), "--target", "covariance",
+                "--hypothesis", "given-matrix"]
+        self.assert_config_error(capsys, argv, "'given-matrix' needs --matrix")
 
     def test_combined_rejects_method(self, tmp_path, capsys):
         argv = self.cfg(tmp_path, "--target", "combined", "--method", "MC")

@@ -278,6 +278,16 @@ class TestRunTest:
         with pytest.raises(ValueError, match="alpha"):
             run_test(sample, spec, repetitions=500, seed=1, alpha=1.5)
 
+    @pytest.mark.parametrize("n, d", [((200, 250), 3), ((20, 25), 4)], ids=["other-n", "other-d"])
+    def test_estimates_of_another_sample_rejected(self, rng, n, d):
+        # the report carries this sample's n, so foreign estimates would
+        # test one sample under another's group sizes
+        sample = two_group_sample(rng, n=(20, 25))
+        other = pool_estimates(two_group_sample(rng, d=d, n=n))
+        spec = predefined_hypothesis("equal", COVARIANCE, 2, d)
+        with pytest.raises(ValueError, match="do not belong"):
+            run_test(sample, spec, repetitions=500, seed=1, est=other)
+
 
 class TestGroupPermutation:
     # centering contrasts treat the groups alike, so reordering them keeps
