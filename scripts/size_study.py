@@ -117,14 +117,32 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.hypothesis is None:
         args.hypothesis = "equal-correlated" if args.test == "correlation" else "equal"
-    args.n = tuple(int(part) for part in args.n.split(","))
+    try:
+        args.n = tuple(int(part) for part in args.n.split(","))
+    except ValueError:
+        raise ValueError(f"--n must be comma-separated integers, got {args.n!r}") from None
+    for flag, value, least in (
+        ("--runs", args.runs, 1),
+        ("--repetitions", args.repetitions, 1),
+        ("--d", args.d, 1),
+        *(("--n", n_i, 2) for n_i in args.n),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if args.test == "combined" and len(args.n) != 2:
+        raise ValueError(f"--test combined needs two group sizes in --n, got {len(args.n)}")
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(argv)
-    start = time.time()
-    rate, se = run_study(config)
+    # bad numbers, names and layouts end in one line and exit code 2
+    try:
+        config = parse_args(argv)
+        start = time.time()
+        rate, se = run_study(config)
+    except ValueError as exc:
+        print(f"size_study.py: error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.time() - start
     label = config.test if config.test == "combined" else (
         f"{config.test}/{config.hypothesis} [{config.method}]"

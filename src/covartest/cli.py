@@ -145,8 +145,12 @@ def _validate_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"--threads must be positive, got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    if args.hypothesis == "given-matrix" and args.matrix_path is None:
+    # the parametrized nulls exist for the covariance target only; elsewhere
+    # the catalog reports the name as unknown
+    if target == "covariance" and args.hypothesis == "given-matrix" and args.matrix_path is None:
         raise ConfigError("hypothesis 'given-matrix' needs --matrix")
+    if target == "covariance" and args.hypothesis == "given-trace" and args.gamma is None:
+        raise ConfigError("hypothesis 'given-trace' needs the target trace")
     return args
 
 
@@ -286,7 +290,7 @@ def _hypothesis(args: argparse.Namespace, sample: GroupedSample) -> HypothesisSp
             return structure_hypothesis(args.structure, base_target, sample.d)
         if args.hypothesis is not None:
             extra = args.gamma
-            if args.hypothesis == "given-matrix":
+            if args.matrix_path is not None:
                 extra = _load_array(args.matrix_path, "matrix", ndmin=2)
             return predefined_hypothesis(
                 args.hypothesis, base_target, sample.a, sample.d, extra=extra

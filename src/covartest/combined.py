@@ -28,6 +28,7 @@ from .engine import (
     _normalize_seed,
     _root_rng,
     _row_blocks,
+    _warn_coarse,
 )
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .linalg import vech_diag_positions
@@ -173,6 +174,7 @@ def combined_test(
     seed = _normalize_seed(seed)
     est = pool_estimates(sample, include_correlation=True)
     T = combined_statistic(est)
+    _warn_coarse(repetitions)
     draws = simulate_reference(est, repetitions, seed)
     B = repetitions
     srt = np.sort(draws, axis=0)

@@ -36,7 +36,6 @@ to the reference.
 from __future__ import annotations
 
 import secrets
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -238,16 +237,16 @@ def taylor_reference(
 def _check_repetitions(B: int) -> None:
     if B < 1:
         raise ValueError(f"repetitions must be positive, got {B}")
-    if B < 500:
-        # point the warning at the first caller outside this package, so
-        # that run_test and combined_test name their caller's line too
-        frame, level = sys._getframe(), 1
-        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
-            frame, level = frame.f_back, level + 1
+
+
+def _warn_coarse(B: int) -> None:
+    """Warn about fewer than 500 repetitions, naming the line that called
+    ``run_test`` or ``combined_test``; B < 1 is left to the references."""
+    if 1 <= B < 500:
         warnings.warn(
             f"only {B} resampling repetitions; p-values are coarse below 500",
             UserWarning,
-            stacklevel=level,
+            stacklevel=3,
         )
 
 
@@ -293,6 +292,7 @@ def run_test(
             f"the sample of n = {sample.n}, d = {sample.d}"
         )
     observed = ats(spec, est)
+    _warn_coarse(repetitions)
     if method == "MC":
         ref = mc_reference(spec, est, repetitions, seed)
     elif method == "BT":

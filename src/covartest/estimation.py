@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     _read_only,
-    block_diag,
     full_length,
     strict_length,
     unvech,
@@ -239,7 +238,12 @@ class MomentEstimates:
         return self._pooled(self.Upsilon_factor)
 
     def _pooled(self, factors) -> np.ndarray:
-        return block_diag([F @ F.T for F in factors], [self.N / n_i for n_i in self.n])
+        # block i is (N/n_i) F_i F_i^T; every group's factor has p rows
+        p = factors[0].shape[0]
+        out = np.zeros((self.a * p, self.a * p))
+        for i, (n_i, F) in enumerate(zip(self.n, factors)):
+            out[i * p:(i + 1) * p, i * p:(i + 1) * p] = (self.N / n_i) * (F @ F.T)
+        return out
 
 
 def pool_estimates(sample: GroupedSample, include_correlation: bool | None = None) -> MomentEstimates:

@@ -48,8 +48,6 @@ class TransformSpec:
 
     map: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    input_dim: int
-    output_dim: int
 
 
 @dataclass(frozen=True)
@@ -81,24 +79,13 @@ class HypothesisSpec:
             raise ValueError("C and zeta must be finite")
         if np.any(np.all(C == 0.0, axis=1)):
             raise ValueError("C contains an all-zero row")
+        # a transformed null's C acts on f(theta), which its builder sizes
         expected = self.a * self.base_dim
-        if self.transform is None:
-            if C.shape[1] != expected:
-                raise ValueError(
-                    f"C has {C.shape[1]} columns but the {self.target} target "
-                    f"with a={self.a}, d={self.d} needs {expected}"
-                )
-        else:
-            if self.transform.input_dim != expected:
-                raise ValueError(
-                    f"transform expects input dimension {self.transform.input_dim}, "
-                    f"but the target layout has {expected}"
-                )
-            if C.shape[1] != self.transform.output_dim:
-                raise ValueError(
-                    f"C has {C.shape[1]} columns but the transform produces "
-                    f"{self.transform.output_dim}"
-                )
+        if self.transform is None and C.shape[1] != expected:
+            raise ValueError(
+                f"C has {C.shape[1]} columns but the {self.target} target "
+                f"with a={self.a}, d={self.d} needs {expected}"
+            )
         if len(zeta) != C.shape[0]:
             raise ValueError(
                 f"zeta has length {len(zeta)} but C has {C.shape[0]} rows"
@@ -168,19 +155,15 @@ def _ratio_transform(d: int, strict: bool) -> TransformSpec:
     coordinates are rho_h = m_h / m_{h-1} for h = 1, ..., d-1.
     """
     q = strict_length(d) if strict else full_length(d)
-    groups: list[np.ndarray | None] = []
-    if strict:
-        groups.append(None)  # m_0 == 1 by convention, no coordinates involved
-    else:
-        groups.append(vech_diag_positions(d))
-    for h in range(1, d):
-        groups.append(vech_subdiagonal_positions(d, h, strict=strict))
+    first = int(strict)  # the strict m_0 == 1 involves no coordinates
+    groups = [vech_subdiagonal_positions(d, h, strict=strict) for h in range(first, d)]
+    # row h of the averaging matrix is the gradient of m_h
+    A = np.zeros((d, q))
+    for h, g in enumerate(groups, start=first):
+        A[h, g] = 1.0 / len(g)
 
     def _means(theta: np.ndarray) -> np.ndarray:
-        m = np.empty(d)
-        for h, g in enumerate(groups):
-            m[h] = 1.0 if g is None else theta[g].mean()
-        return m
+        return np.array([1.0] * first + [theta[g].mean() for g in groups])
 
     def _check(m: np.ndarray) -> None:
         # denominators are m_0, ..., m_{d-2}
@@ -199,26 +182,22 @@ def _ratio_transform(d: int, strict: bool) -> TransformSpec:
         theta = np.asarray(theta, dtype=float)
         m = _means(theta)
         _check(m)
-        J = np.zeros((q + d - 1, q))
-        J[:q] = np.eye(q)
-        grad = np.zeros((d, q))
-        for h, g in enumerate(groups):
-            if g is not None:
-                grad[h, g] = 1.0 / len(g)
-        for h in range(1, d):
-            J[q + h - 1] = grad[h] / m[h - 1] - m[h] / m[h - 1] ** 2 * grad[h - 1]
-        return J
+        # float_power squares through pow(), as a scalar ** does; an array
+        # ** 2 multiplies, which can differ in the last bit
+        slopes = m[1:] / np.float_power(m[:-1], 2)
+        ratios = A[1:] / m[:-1, None] - slopes[:, None] * A[:-1]
+        return np.vstack([np.eye(q), ratios])
 
-    return TransformSpec(map=fmap, jacobian=fjac, input_dim=q, output_dim=q + d - 1)
+    return TransformSpec(map=fmap, jacobian=fjac)
 
 
 def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
     strict = target == CORRELATION
-    transform = _ratio_transform(d, strict=strict)
-    q = transform.input_dim
+    q = strict_length(d) if strict else full_length(d)
     lin = _toeplitz_rows(d, strict=strict)
     ratio_diffs = _difference_rows(d - 1, np.arange(d - 1))
-    C = np.zeros((lin.shape[0] + ratio_diffs.shape[0], transform.output_dim))
+    # C acts on f(theta): the q coordinates followed by the d - 1 ratios
+    C = np.zeros((lin.shape[0] + ratio_diffs.shape[0], q + d - 1))
     C[: lin.shape[0], :q] = lin
     C[lin.shape[0]:, q:] = ratio_diffs
     return HypothesisSpec(
@@ -228,7 +207,7 @@ def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
         label=label,
         a=1,
         d=d,
-        transform=transform,
+        transform=_ratio_transform(d, strict=strict),
     )
 
 
@@ -363,6 +342,6 @@ def predefined_hypothesis(
     return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d)
 
 
-def custom_hypothesis(C, zeta, target: str, a: int, d: int, label: str = "custom") -> HypothesisSpec:
+def custom_hypothesis(C, zeta, target: str, a: int, d: int) -> HypothesisSpec:
     """User-supplied contrast matrix and right-hand side, validated for shape."""
-    return HypothesisSpec(target=target, C=C, zeta=zeta, label=label, a=a, d=d)
+    return HypothesisSpec(target=target, C=C, zeta=zeta, label="custom", a=a, d=d)

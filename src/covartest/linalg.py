@@ -23,29 +23,13 @@ def strict_length(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def _dim_from_length(length: int, strict: bool) -> int:
-    if not strict:
-        d = (math.isqrt(8 * length + 1) - 1) // 2
-        if full_length(d) == length:
-            return d
-    else:
-        d = (math.isqrt(8 * length + 1) + 1) // 2
-        # strict vectors need d >= 2; length 0 has no admissible dimension
-        if length > 0 and strict_length(d) == length:
-            return d
-    raise ValueError(
-        f"length {length} is not a triangular number for a "
-        f"{'strict' if strict else 'full'} half-vector"
-    )
-
-
-def _check_square_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _check_square_symmetric(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {S.shape}")
+        raise ValueError(f"matrix must be square, got shape {S.shape}")
     scale = np.max(np.abs(S)) if S.size else 0.0
     if not np.allclose(S, S.T, rtol=1e-9, atol=1e-12 * max(scale, 1.0)):
-        raise ValueError(f"{what} is not symmetric")
+        raise ValueError("matrix is not symmetric")
     return S
 
 
@@ -69,16 +53,14 @@ def vech_strict(S) -> np.ndarray:
     return _read_only(S[np.triu_indices(d, k=1)])
 
 
-def unvech(v, strict: bool = False) -> np.ndarray:
-    """Rebuild the symmetric matrix from a half-vector.
-
-    For strict half-vectors the diagonal is filled with ones (correlation
-    convention).
-    """
+def unvech(v) -> np.ndarray:
+    """Rebuild the symmetric matrix from a full half-vector."""
     v = np.asarray(v, dtype=float).ravel()
-    d = _dim_from_length(len(v), strict)
-    out = np.eye(d) if strict else np.zeros((d, d))
-    iu = vech_pairs(d, strict)
+    d = (math.isqrt(8 * len(v) + 1) - 1) // 2
+    if full_length(d) != len(v):
+        raise ValueError(f"length {len(v)} is not a triangular number for a full half-vector")
+    out = np.zeros((d, d))
+    iu = vech_pairs(d)
     out[iu] = v
     out.T[iu] = v
     return out
@@ -116,29 +98,3 @@ def centering_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"centering matrix needs n >= 1, got {n}")
     return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def block_diag(blocks, weights=None) -> np.ndarray:
-    """Block-diagonal assembly of square blocks, optionally scaled per block."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if not blocks:
-        raise ValueError("block_diag needs at least one block")
-    for b in blocks:
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"blocks must be square, got shape {b.shape}")
-    if weights is None:
-        weights = np.ones(len(blocks))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(blocks),):
-            raise ValueError(
-                f"got {len(blocks)} blocks but {weights.size} weights"
-            )
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    at = 0
-    for w, b in zip(weights, blocks):
-        size = b.shape[0]
-        out[at:at + size, at:at + size] = w * b
-        at += size
-    return out

@@ -406,6 +406,16 @@ class TestExitCodes:
                 "--hypothesis", "given-matrix"]
         self.assert_config_error(capsys, argv, "'given-matrix' needs --matrix")
 
+    def test_given_trace_needs_gamma_before_reading_data(self, tmp_path, capsys):
+        argv = ["--data", str(tmp_path / "gone.csv"), "--target", "covariance",
+                "--hypothesis", "given-trace"]
+        self.assert_config_error(capsys, argv, "'given-trace' needs the target trace")
+
+    @pytest.mark.parametrize("name", ["given-matrix", "given-trace"])
+    def test_parametrized_nulls_unknown_for_correlation(self, tmp_path, capsys, name):
+        argv = self.cfg(tmp_path, "--target", "correlation", "--hypothesis", name)
+        self.assert_config_error(capsys, argv, f"unknown correlation hypothesis {name!r}")
+
     def test_combined_rejects_method(self, tmp_path, capsys):
         argv = self.cfg(tmp_path, "--target", "combined", "--method", "MC")
         self.assert_config_error(capsys, argv, "combined")

@@ -2,7 +2,9 @@
 
 One small fixed two-group sample and one seed; the values were recorded
 from the package before the references took estimates only, and any change
-to a draw stream, a reference law or a summary shows here.  P-values,
+to a draw stream, a reference law or a summary shows here.  A fixed
+single-group sample pins the two autoregressive nulls, which run through
+the subdiagonal-ratio transform.  P-values,
 ``beta_tilde`` and the block p-values are multiples of 1/B and must match
 exactly.  The statistic and the critical value are continuous; they are
 held to 1e-12 relative so that another BLAS build, which may sum in
@@ -12,7 +14,13 @@ another order, can move their last bits but nothing more.
 import numpy as np
 import pytest
 
-from covartest import GroupedSample, combined_test, predefined_hypothesis, run_test
+from covartest import (
+    GroupedSample,
+    combined_test,
+    predefined_hypothesis,
+    run_test,
+    structure_hypothesis,
+)
 from covartest.hypotheses import CORRELATION, COVARIANCE
 
 B, SEED = 1000, 5
@@ -50,3 +58,30 @@ def test_combined_test_values_are_pinned(sample):
     assert report.p_variances == 0.696
     assert report.p_correlations == 0.118
     assert report.p_total == 0.118
+
+
+@pytest.fixture(scope="module")
+def single_group():
+    rng = np.random.default_rng(20240608)
+    lag = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    L = np.linalg.cholesky(0.6**lag)
+    return GroupedSample((L @ rng.standard_normal((4, 40)),))
+
+
+@pytest.mark.parametrize(
+    "target, name, method, statistic, p_value, critical_value",
+    [
+        (COVARIANCE, "ar", "MC", 1.8985502252106263, 0.149, 3.1420072849439253),
+        (CORRELATION, "har", "TAY", 1.821085815666994, 0.157, 3.60711877913107),
+    ],
+    ids=["MC-covariance-ar", "TAY-correlation-har"],
+)
+def test_autoregressive_values_are_pinned(
+    single_group, target, name, method, statistic, p_value, critical_value
+):
+    # the autoregressive nulls run through the subdiagonal-ratio transform
+    spec = structure_hypothesis(name, target, 4)
+    report = run_test(single_group, spec, method=method, repetitions=B, seed=SEED)
+    assert report.p_value == p_value
+    assert report.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+    assert report.critical_value == pytest.approx(critical_value, rel=1e-12, abs=0.0)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.linalg import (
-    block_diag,
     centering_matrix,
     full_length,
     strict_length,
@@ -136,13 +135,6 @@ class TestRoundTrip:
         S = symmetric(np.random.default_rng(seed), d)
         assert_array_equal(unvech(vech(S)), S)
 
-    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-    def test_strict_round_trip_exact(self, d, seed):
-        rng = np.random.default_rng(seed)
-        S = symmetric(rng, d)
-        np.fill_diagonal(S, 1.0)
-        assert_array_equal(unvech(vech_strict(S), strict=True), S)
-
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_vech_of_unvech_is_identity(self, d, seed):
         x = np.random.default_rng(seed).standard_normal(full_length(d))
@@ -152,17 +144,9 @@ class TestRoundTrip:
         S = unvech(np.array([1.0, 2.0, 3.0]))
         assert_array_equal(S, [[1.0, 2.0], [2.0, 3.0]])
 
-    def test_unvech_strict_sets_unit_diagonal(self):
-        R = unvech(np.array([0.3, 0.2, 0.1]), strict=True)
-        assert_array_equal(np.diag(R), np.ones(3))
-        assert R[0, 1] == 0.3 and R[0, 2] == 0.2 and R[1, 2] == 0.1
-
     def test_unvech_rejects_non_triangular_length(self):
         with pytest.raises(ValueError, match="triangular"):
             unvech(np.ones(5))
-        for length in (0, 5):
-            with pytest.raises(ValueError, match="triangular"):
-                unvech(np.ones(length), strict=True)
 
     def test_half_vectors_are_read_only(self):
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -278,32 +262,3 @@ class TestPsdFactor:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             psd_factor(np.diag([1.0, -1.0]))
-
-
-class TestBlockDiag:
-    def test_two_blocks_with_weights(self):
-        A = np.array([[1.0, 2.0], [2.0, 3.0]])
-        B = np.array([[5.0]])
-        out = block_diag([A, B], weights=[2.0, 4.0])
-        expect = np.array(
-            [
-                [2.0, 4.0, 0.0],
-                [4.0, 6.0, 0.0],
-                [0.0, 0.0, 20.0],
-            ]
-        )
-        assert_array_equal(out, expect)
-
-    def test_off_blocks_exactly_zero(self, rng):
-        blocks = [make_spd(rng, 2), make_spd(rng, 3)]
-        out = block_diag(blocks)
-        assert_array_equal(out[:2, 2:], np.zeros((2, 3)))
-        assert_array_equal(out[2:, :2], np.zeros((3, 2)))
-
-    def test_weight_count_mismatch(self):
-        with pytest.raises(ValueError):
-            block_diag([np.eye(2)], weights=[1.0, 2.0])
-
-    def test_rejects_nonsquare_block(self):
-        with pytest.raises(ValueError):
-            block_diag([np.ones((2, 3))])

@@ -1,5 +1,6 @@
 """The package's top-level names are the library surface the README documents,
-and every public name in the package has a caller outside the tests."""
+every public name in the package has a caller outside the tests, and so
+does every defaulted parameter of a public function."""
 
 import ast
 import re
@@ -97,4 +98,56 @@ def test_every_public_name_has_a_caller():
             )
             if not used:
                 unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) for every defaulted parameter of a
+    public function or method; position counts the arguments a call
+    writes, so a method's ``self`` is skipped, and is None for
+    keyword-only parameters."""
+    for name, node, is_member in _public_definitions(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for index in range(first, len(positional)):
+            yield name, positional[index].arg, index - is_member
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed_arguments(tree: ast.AST):
+    """(callee, keyword or position) for every argument a call passes to a
+    plainly named or attribute-named function."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        yield from ((callee, index) for index in range(len(node.args)))
+        yield from ((callee, kw.arg) for kw in node.keywords)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a setting nobody uses: every
+    # defaulted parameter must be passed, by keyword or by position, in
+    # the package, the scripts or the benchmark, or be named in the
+    # README's code
+    callers = [
+        *sorted(PACKAGE.glob("*.py")),
+        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    passed = {arg for path in callers for arg in _passed_arguments(ast.parse(path.read_text()))}
+    readme = _readme_code_names()
+    unused = [
+        f"{path.stem}.{function}({parameter}=)"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, parameter, position in _defaulted_parameters(ast.parse(path.read_text()))
+        if parameter not in readme
+        and (function, parameter) not in passed
+        and (function, position) not in passed
+    ]
     assert unused == []

@@ -19,3 +19,20 @@ def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
                           env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--runs", "0"],
+    ["--n", "50,x"],
+    ["--n", "0,5"],
+    ["--repetitions", "0"],
+    ["--d", "0"],
+    ["--test", "combined", "--n", "50"],
+])
+def test_size_study_rejects_bad_numbers_in_one_line(args):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "size_study.py"), *args],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("size_study.py: error: ")
+    assert proc.stderr.count("\n") == 1
