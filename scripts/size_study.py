@@ -135,12 +135,13 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # bad numbers, names and layouts end in one line and exit code 2
+    # bad numbers, names and layouts, and repetitions too many to
+    # allocate, end in one line and exit code 2
     try:
         config = parse_args(argv)
         start = time.time()
         rate, se = run_study(config)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"size_study.py: error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.time() - start

@@ -167,7 +167,7 @@ def ingest(
     all rows form a single group.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -250,7 +250,7 @@ def write_csv(sample: GroupedSample, path: str, group_column: str | None = None)
 
 def _load_array(path: str, what: str, ndmin: int) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndmin)
+        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndmin, encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {what} file {path}: {exc}") from exc
     except ValueError as exc:
@@ -279,6 +279,8 @@ def _hypothesis(args: argparse.Namespace, sample: GroupedSample) -> HypothesisSp
             raise ConfigError(
                 f"the combined test requires exactly two groups, got {sample.a}"
             )
+        if sample.d < 2:
+            raise ConfigError("the combined test requires d >= 2")
         return None
     base_target = COVARIANCE if args.target.startswith("covariance") else CORRELATION
     try:
@@ -307,7 +309,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute validated flags and print the rendered report.
 
     Overflow, division by zero and invalid operations raise, so that data
-    out of floating-point range ends in one numerical error line.
+    out of floating-point range ends in one numerical error line; so do
+    more repetitions than memory can hold.
     """
     sample = ingest(args.data, args.group_column, args.group_sizes)
     spec = _hypothesis(args, sample)
@@ -328,7 +331,7 @@ def run(args: argparse.Namespace) -> int:
                 est=est,
             )
             H = statistic_covariance(spec, est).tolist() if args.output == "json" else None
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         raise _Numerical(str(exc)) from exc
 
     title = _TITLES[args.target]

@@ -107,10 +107,13 @@ def _resolve(spec: HypothesisSpec, theta: np.ndarray):
     """Residual C f(theta) - zeta and the linearized contrast C J(theta)."""
     if spec.transform is None:
         return spec.C @ theta - spec.zeta, spec.C
-    return (
-        spec.C @ spec.transform.map(theta) - spec.zeta,
-        spec.C @ spec.transform.jacobian(theta),
-    )
+    f = spec.transform.map(theta)
+    if len(f) != spec.C.shape[1]:
+        raise ValueError(
+            f"the transform maps theta to {len(f)} coordinates "
+            f"but C has {spec.C.shape[1]} columns"
+        )
+    return spec.C @ f - spec.zeta, spec.C @ spec.transform.jacobian(theta)
 
 
 def _check_trace(tr: float, E: np.ndarray, theta: np.ndarray) -> None:
@@ -167,8 +170,7 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
 def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:
     """Covariance of the contrasted parameter estimate, E Sigma E^T = G G^T."""
     G = _contrast(spec, est).G
-    H = G @ G.T
-    return (H + H.T) / 2.0
+    return G @ G.T
 
 
 def ats(spec: HypothesisSpec, est: MomentEstimates) -> float:

@@ -1,19 +1,20 @@
 """Moment estimators for grouped multivariate samples.
 
 Observations are stored column-wise: each group is a d x n_i array whose
-columns are independent subjects.  The estimators produce, per group, the
-half-vectorized covariance ``vhat`` and correlation ``rhat``, an exact
-factor F_i of the empirical fourth-moment covariance ``Sigma`` of
-``sqrt(n) * vhat`` (F_i F_i^T = Sigma_i, at most min(n_i, p) columns), and
-the delta-method Jacobian M_i mapping covariance coordinates to correlation
-coordinates, so that M_i F_i factors the correlation-scale covariance
-``Upsilon``.  The engines and the combined test work on these factors
-alone: their references take the estimates only, never the raw sample.
-The block-diagonal pools of the dense matrices with weights N/n_i are
-built from the factors on first access only.  Half-vectors are plain 1-D
-arrays.  The estimates store every array read-only, copying those a
-caller could still write, so a contrast the engines cache on the
-estimates cannot go stale.
+columns are independent subjects.  ``pool_estimates`` is the one entry:
+it centres each group once, forms its covariance matrix V once, and takes
+from them the half-vectorized covariance ``vhat`` and correlation
+``rhat``, an exact factor F_i of the empirical fourth-moment covariance
+``Sigma`` of ``sqrt(n) * vhat`` (F_i F_i^T = Sigma_i, at most
+min(n_i, p) columns), and the delta-method Jacobian M_i mapping covariance
+coordinates to correlation coordinates, so that M_i F_i factors the
+correlation-scale covariance ``Upsilon``.  The engines and the combined
+test work on these factors alone: their references take the estimates
+only, never the raw sample.  The block-diagonal pools of the dense
+matrices with weights N/n_i are built from the factors on first access
+only.  Half-vectors are plain 1-D arrays.  The estimates store every
+array read-only, copying only those a caller could still write, so a
+contrast the engines cache on the estimates cannot go stale.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    _frozen,
     _read_only,
     full_length,
     strict_length,
@@ -80,61 +82,6 @@ class GroupedSample:
         return sum(self.n)
 
 
-def group_cov_vector(X) -> np.ndarray:
-    """Half-vectorized empirical covariance (divisor n - 1) of one group."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError("covariance needs a d x n array with n >= 2")
-    n = X.shape[1]
-    Xc = X - X.mean(axis=1, keepdims=True)
-    S = Xc @ Xc.T / (n - 1)
-    return vech((S + S.T) / 2.0)
-
-
-def _outer_product_contributions(X) -> np.ndarray:
-    """p x n matrix whose k-th column is vech of the k-th centered outer
-    product, recentered by the group mean of those outer products."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError("fourth-moment covariance needs a d x n array with n >= 2")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    rows, cols = vech_pairs(X.shape[0])
-    W = Xc[rows] * Xc[cols]
-    return W - W.mean(axis=1, keepdims=True)
-
-
-def group_fourth_moment_factor(X) -> np.ndarray:
-    """Exact factor F of the fourth-moment covariance, F @ F.T = Sigma.
-
-    The narrower of two exact factors, chosen by the group's shape: with
-    n <= p the recentered contributions over sqrt(n - 1) (n columns);
-    otherwise the eigenvectors of the p x p estimate scaled by the roots of
-    their eigenvalues, dropping those that rounding left at or below zero.
-    """
-    Wc = _outer_product_contributions(X)
-    p, n = Wc.shape
-    if n <= p:
-        return Wc / np.sqrt(n - 1)
-    w, Q = np.linalg.eigh(Wc @ Wc.T / (n - 1))
-    keep = w > 0.0
-    return Q[:, keep] * np.sqrt(w[keep])
-
-
-def group_corr_vector(X) -> np.ndarray:
-    """Strict half-vectorization of the empirical correlation of one group."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] < 2:
-        raise ValueError("correlation vectorization needs d >= 2")
-    V = unvech(group_cov_vector(X))
-    if np.any(np.diag(V) <= 0.0):
-        raise ValueError("degenerate component: zero sample variance")
-    sd = np.sqrt(np.diag(V))
-    R = V / np.outer(sd, sd)
-    R = np.clip((R + R.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(R, 1.0)
-    return vech_strict(R)
-
-
 def correlation_jacobian(v) -> np.ndarray:
     """Delta-method Jacobian of the correlation vector in the covariance vector.
 
@@ -163,15 +110,6 @@ def correlation_jacobian(v) -> np.ndarray:
     M[t, pos(rows_j, rows_j)] = -r / (2.0 * var[rows_j])
     M[t, pos(rows_k, rows_k)] = -r / (2.0 * var[rows_k])
     return M
-
-
-def _frozen(x) -> np.ndarray:
-    """x as a float array that no reference can write: read-only arrays
-    owning their data pass through, all others are copied."""
-    x = np.asarray(x, dtype=float)
-    if x.flags.writeable or not x.flags.owndata:
-        x = _read_only(x.copy())
-    return x
 
 
 @dataclass(frozen=True)
@@ -246,6 +184,41 @@ class MomentEstimates:
         return out
 
 
+def _group_estimates(X: np.ndarray, correlation: bool):
+    """(vhat, F, rhat, M) of one group, from one centring of X and one V.
+
+    F is the narrower exact factor of the fourth-moment covariance
+    (F @ F.T = Sigma): the recentred outer products over sqrt(n - 1) when
+    n <= p, else the eigenvectors of the p x p estimate times the roots of
+    their positive eigenvalues.  rhat and M are None without ``correlation``.
+    """
+    d, n = X.shape
+    Xc = X - X.mean(axis=1, keepdims=True)
+    # a product with its own transpose runs as a symmetric rank-k update,
+    # so V (and every F @ F.T downstream) is exactly symmetric
+    V = Xc @ Xc.T / (n - 1)
+    vhat = vech(V)
+    rows, cols = vech_pairs(d)
+    W = Xc[rows] * Xc[cols]
+    W -= W.mean(axis=1, keepdims=True)
+    if n <= len(rows):
+        F = W / np.sqrt(n - 1)
+    else:
+        w, Q = np.linalg.eigh(W @ W.T / (n - 1))
+        keep = w > 0.0
+        F = Q[:, keep] * np.sqrt(w[keep])
+    if not correlation:
+        return vhat, _read_only(F), None, None
+    if d < 2:
+        raise ValueError("correlation vectorization needs d >= 2")
+    if np.any(np.diag(V) <= 0.0):
+        raise ValueError("degenerate component: zero sample variance")
+    sd = np.sqrt(np.diag(V))
+    R = np.clip(V / np.outer(sd, sd), -1.0, 1.0)
+    np.fill_diagonal(R, 1.0)
+    return vhat, _read_only(F), vech_strict(R), _read_only(correlation_jacobian(vhat))
+
+
 def pool_estimates(sample: GroupedSample, include_correlation: bool | None = None) -> MomentEstimates:
     """All per-group estimates, with the fourth-moment covariances as factors.
 
@@ -254,15 +227,10 @@ def pool_estimates(sample: GroupedSample, include_correlation: bool | None = Non
     """
     if include_correlation is None:
         include_correlation = sample.d >= 2
-    vhat = tuple(group_cov_vector(g) for g in sample.groups)
-    factors = tuple(_read_only(group_fourth_moment_factor(g)) for g in sample.groups)
+    groups = (_group_estimates(X, include_correlation) for X in sample.groups)
+    vhat, factors, rhat, jacobian = zip(*groups)
     if not include_correlation:
-        return MomentEstimates(d=sample.d, n=sample.n, vhat=vhat, Sigma_factor=factors)
+        rhat = jacobian = None
     return MomentEstimates(
-        d=sample.d,
-        n=sample.n,
-        vhat=vhat,
-        Sigma_factor=factors,
-        rhat=tuple(group_corr_vector(g) for g in sample.groups),
-        jacobian=tuple(_read_only(correlation_jacobian(v)) for v in vhat),
+        d=sample.d, n=sample.n, vhat=vhat, Sigma_factor=factors, rhat=rhat, jacobian=jacobian
     )

@@ -23,6 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    _frozen,
+    _read_only,
     centering_matrix,
     full_length,
     strict_length,
@@ -79,7 +81,7 @@ class HypothesisSpec:
             raise ValueError("C and zeta must be finite")
         if np.any(np.all(C == 0.0, axis=1)):
             raise ValueError("C contains an all-zero row")
-        # a transformed null's C acts on f(theta), which its builder sizes
+        # a transformed null's C acts on f(theta); the engine checks its width
         expected = self.a * self.base_dim
         if self.transform is None and C.shape[1] != expected:
             raise ValueError(
@@ -90,12 +92,9 @@ class HypothesisSpec:
             raise ValueError(
                 f"zeta has length {len(zeta)} but C has {C.shape[0]} rows"
             )
-        C = C.copy()
-        C.setflags(write=False)
-        zeta = zeta.copy()
-        zeta.setflags(write=False)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "zeta", zeta)
+        # the engines cache a contrast keyed by this object: store it read-only
+        object.__setattr__(self, "C", _frozen(C))
+        object.__setattr__(self, "zeta", _frozen(zeta))
 
     @property
     def base_dim(self) -> int:
@@ -202,7 +201,7 @@ def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
     C[lin.shape[0]:, q:] = ratio_diffs
     return HypothesisSpec(
         target=target,
-        C=C,
+        C=_read_only(C),
         zeta=np.zeros(C.shape[0]),
         label=label,
         a=1,
@@ -262,7 +261,7 @@ def structure_hypothesis(name: str, target: str, d: int) -> HypothesisSpec:
         return _autoregressive_spec(target, d, canonical)
     C = rows(d)
     return HypothesisSpec(
-        target=target, C=C, zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
+        target=target, C=_read_only(C), zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
     )
 
 
@@ -339,7 +338,7 @@ def predefined_hypothesis(
 
     if zeta is None:
         zeta = np.zeros(C.shape[0])
-    return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d)
+    return HypothesisSpec(target=target, C=_read_only(C), zeta=zeta, label=name, a=a, d=d)
 
 
 def custom_hypothesis(C, zeta, target: str, a: int, d: int) -> HypothesisSpec:

@@ -34,8 +34,22 @@ def _check_square_symmetric(S: np.ndarray) -> np.ndarray:
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:
+    """v made read-only in place, with the array it views, if any."""
+    if isinstance(v.base, np.ndarray):
+        v.base.setflags(write=False)
     v.setflags(write=False)
     return v
+
+
+def _frozen(x) -> np.ndarray:
+    """x as a float array that no one can write: x itself when both it and
+    the array owning its data are read-only, otherwise a read-only copy."""
+    x = np.asarray(x, dtype=float)
+    owner = x if x.base is None else x.base
+    kept = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+    if x.flags.writeable or not kept:
+        x = _read_only(x.copy())
+    return x
 
 
 def vech(S) -> np.ndarray:

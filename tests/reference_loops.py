@@ -30,12 +30,7 @@ from covartest.engine import (
     _normalize_seed,
     _resolve,
 )
-from covartest.estimation import (
-    GroupedSample,
-    MomentEstimates,
-    _outer_product_contributions,
-    pool_estimates,
-)
+from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
 from covartest.hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
 from covartest.linalg import (
     _check_square_symmetric,
@@ -235,7 +230,11 @@ def group_fourth_moment_cov(X) -> np.ndarray:
     the estimator is the outer-product average of these contributions with
     divisor n - 1.
     """
-    Wc = _outer_product_contributions(X)
+    X = np.asarray(X, dtype=float)
+    Xc = X - X.mean(axis=1, keepdims=True)
+    rows, cols = np.triu_indices(X.shape[0])
+    W = Xc[rows] * Xc[cols]
+    Wc = W - W.mean(axis=1, keepdims=True)
     S = Wc @ Wc.T / (Wc.shape[1] - 1)
     return (S + S.T) / 2.0
 

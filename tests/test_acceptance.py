@@ -23,8 +23,6 @@ from covartest.combined import (
 from covartest.engine import ats, mc_reference, run_test
 from covartest.estimation import (
     GroupedSample,
-    group_corr_vector,
-    group_cov_vector,
     pool_estimates,
     correlation_jacobian,
 )
@@ -36,7 +34,7 @@ from covartest.hypotheses import (
 )
 from covartest.linalg import vech, vech_strict
 from conftest import gaussian_sample, make_spd, synthetic_estimates
-from reference_loops import calibration_rejection_rate, group_fourth_moment_cov
+from reference_loops import calibration_rejection_rate, dense_sigma
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "eeg_wide.csv")
 
@@ -119,13 +117,15 @@ def test_criterion_01_estimator_oracles():
             X = rng.uniform(-1, 3, (d, n)) * rng.uniform(0.2, 5.0, (d, 1))
         else:
             X = rng.exponential(1.5, (d, n)) - 1.0
-        dv = np.abs(group_cov_vector(X) - vech(_oracle_cov(X))).max()
+        est = pool_estimates(GroupedSample((X,)))
+        dv = np.abs(est.vhat[0] - vech(_oracle_cov(X))).max()
         if dv > 1e-12:
             failures.append(f"case {case}: covariance vector off by {dv:.2e}")
-        dr = np.abs(group_corr_vector(X) - _oracle_corr(X)).max()
+        dr = np.abs(est.rhat[0] - _oracle_corr(X)).max()
         if dr > 1e-12:
             failures.append(f"case {case}: correlation vector off by {dr:.2e}")
-        dS = np.abs(group_fourth_moment_cov(X) - _oracle_fourth(X)).max()
+        # the package's exact factor F, through F F^T
+        dS = np.abs(dense_sigma(est)[0] - _oracle_fourth(X)).max()
         if dS > 1e-10:
             failures.append(f"case {case}: fourth-moment covariance off by {dS:.2e}")
     _verdict(1, "estimators match brute-force oracles", failures)

@@ -293,6 +293,40 @@ class TestRuns:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("target", [
+        ["--target", "covariance", "--hypothesis", "equal", "--output", "json"],
+        ["--target", "combined"],
+    ])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, target):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM; left
+        # unread, it would hide the name of a group column that comes first
+        rng = np.random.default_rng(5)
+        rows = [f"g{i + 1}," + ",".join(repr(float(x)) for x in obs)
+                for i, n in enumerate((30, 35)) for obs in rng.standard_normal((n, 3))]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("g,x1,x2,x3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for path in (plain, bom):
+            argv = ["--data", str(path), "--group-column", "g", *target, "--seed", "3"]
+            assert main([*argv, "--repetitions", "600"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == outs[1].err == ""
+        assert outs[0].out == outs[1].out
+
+    def test_given_matrix_with_byte_order_mark(self, tmp_path, capsys):
+        path = one_group_file(tmp_path)
+        mpath = tmp_path / "V.csv"
+        mpath.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n", encoding="utf-8-sig")
+        argv = ["--data", path, "--target", "covariance", "--hypothesis", "given-matrix",
+                "--matrix", str(mpath), "--repetitions", "600", "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        np.savetxt(mpath, np.eye(3), delimiter=",")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
     def test_combined_text_and_json(self, tmp_path, capsys):
         path = two_group_file(tmp_path)
         base = ["--data", path, "--group-column", "g", "--target", "combined",
@@ -446,6 +480,15 @@ class TestExitCodes:
         assert code == 2
         assert "two groups" in err
 
+    def test_combined_needs_two_variables(self, tmp_path, capsys):
+        # one variable has no correlation to compare: a config error, as
+        # for the correlation target, not a numerical one
+        path = two_group_file(tmp_path, d=1)
+        self.assert_config_error(
+            capsys, self.cfg(tmp_path, "--target", "combined", "--seed", "1", path=path),
+            "the combined test requires d >= 2",
+        )
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["--data", str(tmp_path / "gone.csv"), "--target", "covariance",
                      "--hypothesis", "equal", "--seed", "1"])
@@ -554,6 +597,22 @@ class TestExitCodes:
         assert proc.stderr.startswith("covartest: error: numerical: ")
         assert proc.stderr.count("\n") == 1
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("target", [
+        ["--target", "covariance", "--hypothesis", "equal"],
+        ["--target", "covariance", "--hypothesis", "equal", "--method", "BT"],
+        ["--target", "combined"],
+    ])
+    def test_unallocatable_repetitions_exit_numerical(self, tmp_path, target):
+        # 10^15 draws need petabytes, beyond any address space, so the
+        # allocation fails at once: one error line, no traceback
+        path = two_group_file(tmp_path)
+        proc = run_cli("--data", path, "--group-column", "g", *target, "--seed", "1",
+                       "--repetitions", "1000000000000000")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("covartest: error: numerical: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
 
     def test_out_of_range_target_matrix_is_config_error(self, tmp_path):
         # the symmetry check of 1e308 entries overflows: one config line

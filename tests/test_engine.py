@@ -16,6 +16,7 @@ from covartest.estimation import GroupedSample, pool_estimates
 from covartest.hypotheses import (
     COVARIANCE,
     CORRELATION,
+    HypothesisSpec,
     custom_hypothesis,
     predefined_hypothesis,
     structure_hypothesis,
@@ -76,6 +77,15 @@ class TestStatistic:
         expect = spec.C @ est.Sigma_pooled @ spec.C.T
         assert_allclose(H, (expect + expect.T) / 2.0, atol=1e-12)
         assert_array_equal(H, H.T)
+
+    def test_transformed_contrast_of_wrong_width(self, rng):
+        # the ratio transform maps d = 3 covariances to 6 + 2 coordinates
+        ar = structure_hypothesis("ar", COVARIANCE, 3)
+        spec = HypothesisSpec(target=COVARIANCE, C=ar.C[:, :-1], zeta=ar.zeta, label="short",
+                              a=1, d=3, transform=ar.transform)
+        est = pool_estimates(GroupedSample((rng.standard_normal((3, 40)),)))
+        with pytest.raises(ValueError, match="maps theta to 8 coordinates but C has 7 columns"):
+            ats(spec, est)
 
     def test_group_count_mismatch(self, rng):
         est = pool_estimates(GroupedSample((rng.standard_normal((3, 10)),)))

@@ -9,8 +9,6 @@ from covartest.estimation import (
     GroupedSample,
     MomentEstimates,
     correlation_jacobian,
-    group_corr_vector,
-    group_cov_vector,
     pool_estimates,
 )
 from covartest.hypotheses import predefined_hypothesis
@@ -77,6 +75,15 @@ def corr_map(v):
     return vech_strict((R + R.T) / 2.0)
 
 
+def cov_vector(X):
+    # one group's covariance half-vector, read through the estimator entry
+    return pool_estimates(GroupedSample((X,)), include_correlation=False).vhat[0]
+
+
+def corr_vector(X):
+    return pool_estimates(GroupedSample((X,)), include_correlation=True).rhat[0]
+
+
 def fd_jacobian(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     m = len(f(x))
@@ -93,22 +100,22 @@ def fd_jacobian(f, x, h=1e-6):
 class TestCovVector:
     def test_two_points(self):
         X = np.array([[0.0, 2.0], [0.0, 0.0]])
-        assert_array_equal(group_cov_vector(X), [2.0, 0.0, 0.0])
+        assert_array_equal(cov_vector(X), [2.0, 0.0, 0.0])
 
     def test_constant_columns_give_zero(self):
         X = np.tile(np.array([[1.0], [3.0]]), (1, 5))
-        assert_array_equal(group_cov_vector(X), np.zeros(3))
+        assert_array_equal(cov_vector(X), np.zeros(3))
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(5, 30))
             X = rng.standard_normal((d, n)) * rng.uniform(0.5, 2.0)
-            assert_allclose(group_cov_vector(X), vech(oracle_cov(X)), atol=1e-12)
+            assert_allclose(cov_vector(X), vech(oracle_cov(X)), atol=1e-12)
 
     def test_rejects_single_observation(self):
         with pytest.raises(ValueError):
-            group_cov_vector(np.ones((2, 1)))
+            cov_vector(np.ones((2, 1)))
 
 
 class TestFourthMomentCov:
@@ -162,26 +169,26 @@ class TestCorrVector:
     def test_perfect_dependence(self):
         x = np.array([0.0, 1.0, 2.0, 5.0])
         X = np.vstack([x, 3.0 * x + 1.0, -2.0 * x])
-        r = group_corr_vector(X)
+        r = corr_vector(X)
         assert_allclose(r, [1.0, -1.0, -1.0], atol=1e-12)
 
     def test_matches_pearson_oracle(self, rng):
         X = rng.standard_normal((3, 30)) * np.array([[0.2], [5.0], [1.0]])
         assert_allclose(
-            group_corr_vector(X),
+            corr_vector(X),
             vech_strict(oracle_pearson(X)),
             atol=1e-12,
         )
 
     def test_values_in_unit_interval(self, rng):
         X = gaussian_sample(rng, make_spd(rng, 5), 8)
-        r = group_corr_vector(X)
+        r = corr_vector(X)
         assert np.all(np.abs(r) <= 1.0)
 
     def test_rejects_zero_variance(self):
         X = np.vstack([np.ones(6), np.arange(6.0)])
         with pytest.raises(ValueError, match="variance"):
-            group_corr_vector(X)
+            corr_vector(X)
 
 
 class TestCorrelationJacobian:

@@ -29,10 +29,6 @@ from covartest.engine import (
 from covartest.estimation import (
     GroupedSample,
     MomentEstimates,
-    correlation_jacobian,
-    group_corr_vector,
-    group_cov_vector,
-    group_fourth_moment_factor,
     pool_estimates,
 )
 from covartest.hypotheses import (
@@ -58,12 +54,12 @@ def dense_oracle(spec, sample):
     """Statistic and H = E block_diag(N/n_i Sigma_i) E^T, built densely."""
     groups, N = sample.groups, sample.N
     S = [group_fourth_moment_cov(X) for X in groups]
+    est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
     if spec.target == COVARIANCE:
-        theta = np.concatenate([group_cov_vector(X) for X in groups])
+        theta = est.vhat_pooled
     else:
-        theta = np.concatenate([group_corr_vector(X) for X in groups])
-        M = [correlation_jacobian(group_cov_vector(X)) for X in groups]
-        S = [M_i @ S_i @ M_i.T for M_i, S_i in zip(M, S)]
+        theta = est.rhat_pooled
+        S = [M_i @ S_i @ M_i.T for M_i, S_i in zip(est.jacobian, S)]
     pooled = scipy.linalg.block_diag(*[(N / X.shape[1]) * S_i for X, S_i in zip(groups, S)])
     if spec.transform is None:
         u, E = spec.C @ theta - spec.zeta, spec.C
@@ -102,7 +98,9 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
     scale = np.abs(H).max()
 
     assert abs(ats(spec, est) - stat) <= REL * stat
-    assert np.abs(statistic_covariance(spec, est) - H).max() <= REL * scale
+    H_pkg = statistic_covariance(spec, est)
+    assert np.abs(H_pkg - H).max() <= REL * scale
+    assert np.array_equal(H_pkg, H_pkg.T)  # G @ G.T is exactly symmetric
 
     # MC weights: the nonzero eigenvalues of H over its trace; whatever the
     # Gram spectrum leaves out carries no trace
@@ -117,7 +115,7 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
 @pytest.mark.parametrize("d, n", [(4, 6), (3, 30)], ids=["narrow", "wide"])
 def test_fourth_moment_factor_is_exact_and_narrow(d, n):
     X = sample_of(d + n, d, (n,)).groups[0]
-    F = group_fourth_moment_factor(X)
+    F = pool_estimates(GroupedSample((X,)), include_correlation=False).Sigma_factor[0]
     S = group_fourth_moment_cov(X)
     p = full_length(d)
     assert F.shape[0] == p and F.shape[1] <= min(n, p)

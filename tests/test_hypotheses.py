@@ -371,6 +371,22 @@ class TestCustomSpec:
             spec.zeta[0] = 1.0
 
 
+    def test_builder_arrays_kept_and_caller_arrays_copied(self):
+        # a builder's contrast is frozen where it was built, not copied
+        spec = predefined_hypothesis("equal", COVARIANCE, 3, 4)
+        again = HypothesisSpec(target=COVARIANCE, C=spec.C, zeta=spec.zeta, label="equal", a=3, d=4)
+        assert again.C is spec.C
+        assert np.shares_memory(again.zeta, spec.zeta)
+        # an array the caller can still write, directly or through the
+        # array a read-only view shows, is copied
+        C = np.array(spec.C)
+        view = C[:]
+        view.setflags(write=False)
+        for given in (C, view):
+            custom = custom_hypothesis(given, spec.zeta, COVARIANCE, 3, 4)
+            assert not np.shares_memory(custom.C, C)
+            assert not custom.C.flags.writeable
+
 # ------------------------------------------------------- README catalog
 
 def _readme_section(start: str, end: str) -> str:

@@ -28,6 +28,7 @@ def test_script_runs(argv):
     ["--repetitions", "0"],
     ["--d", "0"],
     ["--test", "combined", "--n", "50"],
+    ["--repetitions", "1000000000000000"],  # petabytes: the allocation fails at once
 ])
 def test_size_study_rejects_bad_numbers_in_one_line(args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "size_study.py"), *args],
