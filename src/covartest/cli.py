@@ -170,42 +170,47 @@ def ingest(
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path} is empty: no header row") from None
-        gidx: int | None = None
-        if group_column is not None:
-            if group_column not in header:
-                raise DataError(f"group column {group_column!r} not found in {path}")
-            gidx = header.index(group_column)
-        value_idx = [i for i in range(len(header)) if i != gidx]
-        if not value_idx:
-            raise DataError(f"{path} has no numeric columns besides the group column")
-        values: list[list[float]] = []
-        labels: list[str] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue  # ignore trailing blank lines
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {rownum} has {len(row)} fields, expected {len(header)}"
-                )
-            parsed = []
-            for i in value_idx:
-                cell = row[i].strip()
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path} is empty: no header row") from None
+            gidx: int | None = None
+            if group_column is not None:
+                if group_column not in header:
+                    raise DataError(f"group column {group_column!r} not found in {path}")
+                gidx = header.index(group_column)
+            value_idx = [i for i in range(len(header)) if i != gidx]
+            if not value_idx:
+                raise DataError(f"{path} has no numeric columns besides the group column")
+            values: list[list[float]] = []
+            labels: list[str] = []
+            for rownum, row in enumerate(reader, start=2):
+                if not any(cell.strip() for cell in row):
+                    continue  # ignore trailing blank lines
+                if len(row) != len(header):
                     raise DataError(
-                        f"non-numeric value {cell!r} at row {rownum}, "
-                        f"column {header[i]!r}"
-                    ) from None
-            values.append(parsed)
-            if gidx is not None:
-                labels.append(row[gidx].strip())
+                        f"row {rownum} has {len(row)} fields, expected {len(header)}"
+                    )
+                parsed = []
+                for i in value_idx:
+                    cell = row[i].strip()
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"non-numeric value {cell!r} at row {rownum}, "
+                            f"column {header[i]!r}"
+                        ) from None
+                values.append(parsed)
+                if gidx is not None:
+                    labels.append(row[gidx].strip())
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
+        ) from None
     if not values:
         raise DataError(f"{path} contains no observations")
     data = np.asarray(values, dtype=float)

@@ -101,16 +101,23 @@ def _outside_counts(srt: np.ndarray, draws: np.ndarray, k: int) -> int:
     return int(np.any(outside, axis=1).sum())
 
 
-def calibrate_beta(draws: np.ndarray, alpha: float) -> float:
+def calibrate_beta(
+    draws: np.ndarray, alpha: float, *, srt: np.ndarray | None = None
+) -> float:
     """Largest grid miscoverage beta = k/B whose familywise rejection rate
-    on the draws themselves stays at or below alpha."""
+    on the draws themselves stays at or below alpha.
+
+    ``srt`` is ``draws`` sorted along its first axis when the caller has
+    sorted them already.
+    """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 1:
         raise ValueError("draws must be a nonempty B x P array")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     B = draws.shape[0]
-    srt = np.sort(draws, axis=0)
+    if srt is None:
+        srt = np.sort(draws, axis=0)
     bound = alpha * B
     # the rejection rate grows with k, so the feasible set is an interval
     lo, hi = 0, B - 1
@@ -178,7 +185,7 @@ def combined_test(
     draws = simulate_reference(est, repetitions, seed)
     B = repetitions
     srt = np.sort(draws, axis=0)
-    beta_tilde = calibrate_beta(draws, alpha)
+    beta_tilde = calibrate_beta(draws, alpha, srt=srt)
 
     d = est.d
     exits = _exit_levels(srt, T)

@@ -29,8 +29,9 @@ are independent, so numerator and denominator are weighted chi-square sums.
 
 The three references take the hypothesis and the moment estimates only,
 never the raw sample.  ``run_test`` pools the sample once, unless the
-caller passes estimates, and hands the same estimates to the statistic and
-to the reference.
+caller passes estimates, contrasts the hypothesis against them once, and
+hands that one contrast to the statistic and to the reference.  Nothing
+is stored on the estimates: a call without a contrast builds its own.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ class _Contrast:
     side; ``trace`` is ||G||_F^2, already checked against zero.
     """
 
-    spec: HypothesisSpec
     u: np.ndarray
     K: tuple[np.ndarray, ...]
     G: np.ndarray
@@ -142,12 +142,6 @@ class _Contrast:
 
 
 def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
-    # the last contrast built is kept on the estimates, keyed by the
-    # hypothesis object, so that run_test's statistic and reference share
-    # one G
-    cached = est.__dict__.get("_contrast")
-    if cached is not None and cached.spec is spec:
-        return cached
     _check_compatible(spec, est)
     if spec.target == COVARIANCE:
         theta, factors = est.vhat_pooled, est.Sigma_factor
@@ -162,9 +156,7 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
     G = np.hstack(K)
     trace = float(np.vdot(G, G))
     _check_trace(trace, E, theta)
-    c = _Contrast(spec, u, K, G, trace)
-    est.__dict__["_contrast"] = c
-    return c
+    return _Contrast(u, K, G, trace)
 
 
 def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:
@@ -173,9 +165,15 @@ def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarr
     return G @ G.T
 
 
-def ats(spec: HypothesisSpec, est: MomentEstimates) -> float:
-    """Observed value of the trace-normalized quadratic-form statistic."""
-    c = _contrast(spec, est)
+def ats(
+    spec: HypothesisSpec, est: MomentEstimates, *, contrast: _Contrast | None = None
+) -> float:
+    """Observed value of the trace-normalized quadratic-form statistic.
+
+    ``contrast`` is ``spec`` contrasted against ``est`` when the caller
+    has built it already; the references take it the same way.
+    """
+    c = _contrast(spec, est) if contrast is None else contrast
     return float(est.N * (c.u @ c.u) / c.trace)
 
 
@@ -186,16 +184,26 @@ def _limit_draws(c: _Contrast, B: int, seed: int) -> np.ndarray:
 
 
 def mc_reference(
-    spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int
+    spec: HypothesisSpec,
+    est: MomentEstimates,
+    B: int,
+    seed: int,
+    *,
+    contrast: _Contrast | None = None,
 ) -> np.ndarray:
     """B draws from the estimated weighted chi-square limit distribution."""
-    c = _contrast(spec, est)
+    c = _contrast(spec, est) if contrast is None else contrast
     _check_repetitions(B)
     return _limit_draws(c, B, seed)
 
 
 def bootstrap_reference(
-    spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int
+    spec: HypothesisSpec,
+    est: MomentEstimates,
+    B: int,
+    seed: int,
+    *,
+    contrast: _Contrast | None = None,
 ) -> np.ndarray:
     """Parametric-bootstrap draws of the statistic under the null.
 
@@ -208,7 +216,7 @@ def bootstrap_reference(
     sum_k w_k chi2_1 / sum_i sum_j mu_ij chi2_{n_i-1} / (n_i-1), where
     w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).
     """
-    c = _contrast(spec, est)
+    c = _contrast(spec, est) if contrast is None else contrast
     _check_repetitions(B)
     w = _gram_spectrum(c.G)
     mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(est.n, c.K)]
@@ -219,7 +227,12 @@ def bootstrap_reference(
 
 
 def taylor_reference(
-    spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int
+    spec: HypothesisSpec,
+    est: MomentEstimates,
+    B: int,
+    seed: int,
+    *,
+    contrast: _Contrast | None = None,
 ) -> np.ndarray:
     """Delta-method reference draws for correlation targets.
 
@@ -231,7 +244,7 @@ def taylor_reference(
     """
     if spec.target != CORRELATION:
         raise ValueError("Taylor method applies to correlation targets only")
-    c = _contrast(spec, est)
+    c = _contrast(spec, est) if contrast is None else contrast
     _check_repetitions(B)
     return _limit_draws(c, B, seed)
 
@@ -293,14 +306,15 @@ def run_test(
             f"estimates of n = {est.n}, d = {est.d} do not belong to "
             f"the sample of n = {sample.n}, d = {sample.d}"
         )
-    observed = ats(spec, est)
+    c = _contrast(spec, est)
+    observed = ats(spec, est, contrast=c)
     _warn_coarse(repetitions)
     if method == "MC":
-        ref = mc_reference(spec, est, repetitions, seed)
+        ref = mc_reference(spec, est, repetitions, seed, contrast=c)
     elif method == "BT":
-        ref = bootstrap_reference(spec, est, repetitions, seed)
+        ref = bootstrap_reference(spec, est, repetitions, seed, contrast=c)
     else:
-        ref = taylor_reference(spec, est, repetitions, seed)
+        ref = taylor_reference(spec, est, repetitions, seed, contrast=c)
     return TestReport(
         statistic=observed,
         p_value=float(np.mean(ref >= observed)),

@@ -11,22 +11,20 @@ coordinates to correlation coordinates, so that M_i F_i factors the
 correlation-scale covariance ``Upsilon``.  The engines and the combined
 test work on these factors alone: their references take the estimates
 only, never the raw sample.  The block-diagonal pools of the dense
-matrices with weights N/n_i are built from the factors on first access
-only.  Half-vectors are plain 1-D arrays.  The estimates store every
-array read-only, copying only those a caller could still write, so a
-contrast the engines cache on the estimates cannot go stale.
+matrices with weights N/n_i, and the correlation-scale factors, are built
+from the stored arrays on every access.  The half-vectors
+``pool_estimates`` returns are read-only 1-D arrays.  The estimates store
+the arrays they are given, without a copy, and cache nothing, so every
+value read from them reflects the arrays as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
-    _frozen,
-    _read_only,
     full_length,
     strict_length,
     unvech,
@@ -117,8 +115,8 @@ class MomentEstimates:
     """Per-group moment estimates for one grouped sample.
 
     ``Sigma_factor`` holds exact factors of the fourth-moment covariances;
-    the block-diagonal pools ``Sigma_pooled`` and ``Upsilon_pooled`` are
-    dense matrices built from the factors on first access.
+    ``Upsilon_factor`` and the block-diagonal pools ``Sigma_pooled`` and
+    ``Upsilon_pooled`` are built from the stored arrays on every access.
     """
 
     d: int
@@ -127,14 +125,6 @@ class MomentEstimates:
     Sigma_factor: tuple[np.ndarray, ...]
     rhat: tuple[np.ndarray, ...] | None = None
     jacobian: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self) -> None:
-        # the engines cache a contrast on the estimates, so every array is
-        # stored read-only
-        for name in ("vhat", "Sigma_factor", "rhat", "jacobian"):
-            arrays = getattr(self, name)
-            if arrays is not None:
-                object.__setattr__(self, name, tuple(_frozen(x) for x in arrays))
 
     @property
     def a(self) -> int:
@@ -158,22 +148,21 @@ class MomentEstimates:
     def has_correlation(self) -> bool:
         return self.rhat is not None
 
-    @cached_property
+    @property
     def Upsilon_factor(self) -> tuple[np.ndarray, ...] | None:
         """Factors M_i F_i of the correlation-scale covariances."""
         if self.jacobian is None:
             return None
-        return tuple(_read_only(M @ F) for M, F in zip(self.jacobian, self.Sigma_factor))
+        return tuple(M @ F for M, F in zip(self.jacobian, self.Sigma_factor))
 
-    @cached_property
+    @property
     def Sigma_pooled(self) -> np.ndarray:
         return self._pooled(self.Sigma_factor)
 
-    @cached_property
+    @property
     def Upsilon_pooled(self) -> np.ndarray | None:
-        if self.Upsilon_factor is None:
-            return None
-        return self._pooled(self.Upsilon_factor)
+        factors = self.Upsilon_factor
+        return None if factors is None else self._pooled(factors)
 
     def _pooled(self, factors) -> np.ndarray:
         # block i is (N/n_i) F_i F_i^T; every group's factor has p rows
@@ -208,7 +197,7 @@ def _group_estimates(X: np.ndarray, correlation: bool):
         keep = w > 0.0
         F = Q[:, keep] * np.sqrt(w[keep])
     if not correlation:
-        return vhat, _read_only(F), None, None
+        return vhat, F, None, None
     if d < 2:
         raise ValueError("correlation vectorization needs d >= 2")
     if np.any(np.diag(V) <= 0.0):
@@ -216,7 +205,7 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     sd = np.sqrt(np.diag(V))
     R = np.clip(V / np.outer(sd, sd), -1.0, 1.0)
     np.fill_diagonal(R, 1.0)
-    return vhat, _read_only(F), vech_strict(R), _read_only(correlation_jacobian(vhat))
+    return vhat, F, vech_strict(R), correlation_jacobian(vhat)
 
 
 def pool_estimates(sample: GroupedSample, include_correlation: bool | None = None) -> MomentEstimates:

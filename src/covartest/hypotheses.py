@@ -23,8 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    _frozen,
-    _read_only,
     centering_matrix,
     full_length,
     strict_length,
@@ -92,9 +90,8 @@ class HypothesisSpec:
             raise ValueError(
                 f"zeta has length {len(zeta)} but C has {C.shape[0]} rows"
             )
-        # the engines cache a contrast keyed by this object: store it read-only
-        object.__setattr__(self, "C", _frozen(C))
-        object.__setattr__(self, "zeta", _frozen(zeta))
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "zeta", zeta)
 
     @property
     def base_dim(self) -> int:
@@ -201,7 +198,7 @@ def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
     C[lin.shape[0]:, q:] = ratio_diffs
     return HypothesisSpec(
         target=target,
-        C=_read_only(C),
+        C=C,
         zeta=np.zeros(C.shape[0]),
         label=label,
         a=1,
@@ -261,7 +258,7 @@ def structure_hypothesis(name: str, target: str, d: int) -> HypothesisSpec:
         return _autoregressive_spec(target, d, canonical)
     C = rows(d)
     return HypothesisSpec(
-        target=target, C=_read_only(C), zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
+        target=target, C=C, zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
     )
 
 
@@ -338,7 +335,7 @@ def predefined_hypothesis(
 
     if zeta is None:
         zeta = np.zeros(C.shape[0])
-    return HypothesisSpec(target=target, C=_read_only(C), zeta=zeta, label=name, a=a, d=d)
+    return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d)
 
 
 def custom_hypothesis(C, zeta, target: str, a: int, d: int) -> HypothesisSpec:

@@ -2,8 +2,9 @@
 
 Half-vectorization follows a fixed row-major upper-triangle order,
 (1,1), (1,2), ..., (1,d), (2,2), ..., (d,d); the strict variant drops the
-diagonal entries and keeps the same scan order.  Half-vectors are plain
-read-only 1-D float arrays; symmetric matrices are plain float ndarrays.
+diagonal entries and keeps the same scan order.  ``vech`` and
+``vech_strict`` return new read-only 1-D float arrays, which share no
+memory with the matrix; symmetric matrices are plain float ndarrays.
 """
 
 from __future__ import annotations
@@ -33,29 +34,12 @@ def _check_square_symmetric(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _read_only(v: np.ndarray) -> np.ndarray:
-    """v made read-only in place, with the array it views, if any."""
-    if isinstance(v.base, np.ndarray):
-        v.base.setflags(write=False)
-    v.setflags(write=False)
-    return v
-
-
-def _frozen(x) -> np.ndarray:
-    """x as a float array that no one can write: x itself when both it and
-    the array owning its data are read-only, otherwise a read-only copy."""
-    x = np.asarray(x, dtype=float)
-    owner = x if x.base is None else x.base
-    kept = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
-    if x.flags.writeable or not kept:
-        x = _read_only(x.copy())
-    return x
-
-
 def vech(S) -> np.ndarray:
     """Row-major upper-triangle vectorization of a symmetric matrix."""
     S = _check_square_symmetric(S)
-    return _read_only(S[np.triu_indices(S.shape[0])])
+    v = S[np.triu_indices(S.shape[0])]
+    v.setflags(write=False)
+    return v
 
 
 def vech_strict(S) -> np.ndarray:
@@ -64,7 +48,9 @@ def vech_strict(S) -> np.ndarray:
     d = S.shape[0]
     if d < 2:
         raise ValueError("strict vectorization needs d >= 2")
-    return _read_only(S[np.triu_indices(d, k=1)])
+    v = S[np.triu_indices(d, k=1)]
+    v.setflags(write=False)
+    return v
 
 
 def unvech(v) -> np.ndarray:

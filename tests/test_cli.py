@@ -505,6 +505,17 @@ class TestExitCodes:
         assert code == 3
         assert "row 3" in err and "'x2'" in err
 
+    def test_non_utf8_file_is_a_data_error(self, tmp_path, capsys):
+        # a Latin-1 "café" group label: 0xE9 is no UTF-8 sequence
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x1,x2,g\n1,2,a\n2,1,a\n3,5,caf\xe9\n4,4,caf\xe9\n")
+        code = main(["--data", str(path), "--group-column", "g", "--target",
+                     "covariance", "--hypothesis", "equal", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("covartest: error: data: ") and err.count("\n") == 1
+        assert "UTF-8" in err and "0xe9" in err
+
     def test_single_observation_group(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,g\n1,2,a\n3,4,a\n5,6,b\n")

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from covartest import engine
 from covartest.engine import (
     ats,
     bootstrap_reference,
@@ -12,7 +13,7 @@ from covartest.engine import (
     statistic_covariance,
     taylor_reference,
 )
-from covartest.estimation import GroupedSample, pool_estimates
+from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
 from covartest.hypotheses import (
     COVARIANCE,
     CORRELATION,
@@ -297,6 +298,48 @@ class TestRunTest:
         spec = predefined_hypothesis("equal", COVARIANCE, 2, d)
         with pytest.raises(ValueError, match="do not belong"):
             run_test(sample, spec, repetitions=500, seed=1, est=other)
+
+    @pytest.mark.parametrize("method, target, name", [
+        ("MC", COVARIANCE, "equal"),
+        ("BT", COVARIANCE, "equal"),
+        ("TAY", CORRELATION, "equal-correlated"),
+    ])
+    def test_one_contrast_per_run(self, rng, monkeypatch, method, target, name):
+        # the statistic and the reference share the contrast run_test builds
+        built = []
+        original = engine._contrast
+
+        def counted(spec, est):
+            built.append(spec)
+            return original(spec, est)
+
+        monkeypatch.setattr(engine, "_contrast", counted)
+        spec = predefined_hypothesis(name, target, 2, 3)
+        run_test(two_group_sample(rng), spec, method=method, repetitions=500, seed=1)
+        assert built == [spec]
+
+    def test_estimates_hold_no_hidden_state(self, rng):
+        # an in-place change to the arrays the estimates hold shows in every
+        # later statistic and run, as in estimates built afresh from them
+        sample = two_group_sample(rng)
+        base = pool_estimates(sample, include_correlation=False)
+        vhat = tuple(np.array(v) for v in base.vhat)
+        factors = tuple(np.array(F) for F in base.Sigma_factor)
+        est = MomentEstimates(d=3, n=sample.n, vhat=vhat, Sigma_factor=factors)
+        spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
+        before = ats(spec, est)
+        vhat[0][0] += 5.0
+        factors[0][0, 0] += 5.0
+        fresh = MomentEstimates(
+            d=3, n=sample.n, vhat=tuple(map(np.array, vhat)), Sigma_factor=tuple(map(np.array, factors))
+        )
+        assert ats(spec, est) == ats(spec, fresh) != before
+        for method in ("MC", "BT"):
+            changed, rebuilt = (
+                run_test(sample, spec, method=method, repetitions=500, seed=4, est=e)
+                for e in (est, fresh)
+            )
+            assert changed == rebuilt
 
 
 class TestGroupPermutation:
