@@ -3,8 +3,11 @@
 The statistic stacks the scaled differences of the d group variances and
 the d(d-1)/2 correlations.  Reference draws push per-group normal vectors
 on the covariance scale through the variance selector and the delta-method
-Jacobian; all repetitions come from one generator rooted at the seed, a
-block of rows at a time, so a rerun with the same seed is byte-identical.
+Jacobian M_i: each group's draw is a normal vector times the variance rows
+of the covariance factor F_i stacked on the stored correlation-scale
+factor M_i F_i.  All repetitions come from one generator rooted at the
+seed, a block of rows at a time, so a rerun with the same seed is
+byte-identical.
 A single miscoverage level beta is calibrated so that the familywise
 rejection rate over all components, estimated on the reference draws
 themselves, stays at the requested level; the componentwise bands are
@@ -30,7 +33,7 @@ from .engine import (
     _row_blocks,
     _warn_coarse,
 )
-from .estimation import GroupedSample, MomentEstimates, pool_estimates
+from .estimation import GroupedSample, MomentEstimates, _jacobian_terms, pool_estimates
 from .linalg import vech_diag_positions
 
 # array entries per m-wide temporary in a block of reference draws; the
@@ -74,11 +77,16 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     # is [F_i[diag]; M_i F_i], weighted by sqrt(N/n_i); a block of draws is
     # Z_0 W_0^T - Z_1 W_1^T with standard normal Z_i
     W = [
-        np.sqrt(est.N / n_i) * np.vstack([F[diag], MF])
-        for n_i, F, MF in zip(est.n, est.Sigma_factor, est.Upsilon_factor)
+        np.sqrt(est.N / n_i) * np.vstack([F[diag], U])
+        for n_i, F, U in zip(est.n, est.Sigma_factor, est.Upsilon_factor)
     ]
-    # the rows of A_i are selector rows (entries 1) and Jacobian rows
-    A_max = np.array([1.0, *(np.abs(M).max() for M in est.jacobian)])
+    # the rows of A_i are selector rows (entries 1) and Jacobian rows,
+    # whose nonzeros are the entries of _jacobian_terms
+    A_max = np.array([1.0, *(
+        np.abs(c).max()
+        for v, r in zip(est.vhat, est.rhat)
+        for _, c in _jacobian_terms(v[diag], r)
+    )])
     _check_trace(sum(float(np.vdot(W_i, W_i)) for W_i in W), A_max, est.vhat_pooled)
     rng = _root_rng(seed)
     out = np.empty((B, W[0].shape[0]))

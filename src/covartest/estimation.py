@@ -6,13 +6,14 @@ it centres each group once, forms its covariance matrix V once, and takes
 from them the half-vectorized covariance ``vhat`` and correlation
 ``rhat``, an exact factor F_i of the empirical fourth-moment covariance
 ``Sigma`` of ``sqrt(n) * vhat`` (F_i F_i^T = Sigma_i, at most
-min(n_i, p) columns), and the delta-method Jacobian M_i mapping covariance
-coordinates to correlation coordinates, so that M_i F_i factors the
-correlation-scale covariance ``Upsilon``.  The engines and the combined
-test work on these factors alone: their references take the estimates
-only, never the raw sample.  The block-diagonal pools of the dense
-matrices with weights N/n_i, and the correlation-scale factors, are built
-from the stored arrays on every access.  The half-vectors
+min(n_i, p) columns), and the factor U_i = M_i F_i of the correlation-scale
+covariance ``Upsilon``.  M_i is the delta-method Jacobian mapping
+covariance coordinates to correlation coordinates; it has three nonzeros
+per row, so U_i is formed row by row from three rows of F_i and M_i is
+never built.  The engines and the combined test work on these factors
+alone: their references take the estimates only, never the raw sample.
+The block-diagonal pools of the dense matrices with weights N/n_i are
+built from the stored factors on every access.  The half-vectors
 ``pool_estimates`` returns are read-only 1-D arrays.  The estimates store
 the arrays they are given, without a copy, and cache nothing, so every
 value read from them reflects the arrays as they are.
@@ -24,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    full_length,
-    strict_length,
-    unvech,
-    vech,
-    vech_pairs,
-    vech_strict,
-)
+from .linalg import vech, vech_pairs, vech_strict
 
 
 @dataclass(frozen=True)
@@ -80,43 +74,36 @@ class GroupedSample:
         return sum(self.n)
 
 
-def correlation_jacobian(v) -> np.ndarray:
-    """Delta-method Jacobian of the correlation vector in the covariance vector.
+def _jacobian_terms(var: np.ndarray, r: np.ndarray):
+    """Nonzeros of the delta-method Jacobian M of the correlation half-vector
+    in the covariance half-vector, as three (columns, entries) pairs.
 
-    Row (j, k) has entry (v_jj v_kk)^(-1/2) at position (j, k),
-    -r_jk / (2 v_jj) at (j, j) and -r_jk / (2 v_kk) at (k, k); all other
-    entries vanish.
+    Row (j, k) of M has 1/sqrt(v_jj v_kk) at (j, k), -r_jk/(2 v_jj) at
+    (j, j) and -r_jk/(2 v_kk) at (k, k), and no other nonzero (Neudecker
+    and Wesselman 1990).  Each pair holds, for every row in strict order,
+    the full half-vector column of one of these entries and its value.
     """
-    V = unvech(v)
-    d = V.shape[0]
-    if d < 2:
-        raise ValueError("correlation vectorization needs d >= 2")
-    var = np.diag(V).copy()
-    if np.any(var <= 0.0):
-        raise ValueError("degenerate component: nonpositive variance")
-    rows_j, rows_k = vech_pairs(d, strict=True)
-    r = V[rows_j, rows_k] / np.sqrt(var[rows_j] * var[rows_k])
-    M = np.zeros((strict_length(d), full_length(d)))
-    t = np.arange(len(rows_j))
-
-    def pos(j, k):
-        # full half-vector position of (j, k) with j <= k: row j starts
-        # after the d + (d - 1) + ... + (d - j + 1) entries of rows 0..j-1
-        return j * (2 * d - j + 1) // 2 + k - j
-
-    M[t, pos(rows_j, rows_k)] = 1.0 / np.sqrt(var[rows_j] * var[rows_k])
-    M[t, pos(rows_j, rows_j)] = -r / (2.0 * var[rows_j])
-    M[t, pos(rows_k, rows_k)] = -r / (2.0 * var[rows_k])
-    return M
+    rows, cols = vech_pairs(len(var))
+    off = rows < cols
+    j, k = rows[off], cols[off]
+    diag = np.flatnonzero(~off)
+    return (
+        (np.flatnonzero(off), 1.0 / np.sqrt(var[j] * var[k])),
+        (diag[j], -r / (2.0 * var[j])),
+        (diag[k], -r / (2.0 * var[k])),
+    )
 
 
 @dataclass(frozen=True)
 class MomentEstimates:
     """Per-group moment estimates for one grouped sample.
 
-    ``Sigma_factor`` holds exact factors of the fourth-moment covariances;
-    ``Upsilon_factor`` and the block-diagonal pools ``Sigma_pooled`` and
-    ``Upsilon_pooled`` are built from the stored arrays on every access.
+    ``Sigma_factor`` holds exact factors F_i of the fourth-moment
+    covariances and ``Upsilon_factor`` the factors M_i F_i of the
+    correlation-scale covariances; both correlation fields are None when
+    correlations were not estimated.  The block-diagonal pools
+    ``Sigma_pooled`` and ``Upsilon_pooled`` are built from the stored
+    factors on every access.
     """
 
     d: int
@@ -124,7 +111,7 @@ class MomentEstimates:
     vhat: tuple[np.ndarray, ...]
     Sigma_factor: tuple[np.ndarray, ...]
     rhat: tuple[np.ndarray, ...] | None = None
-    jacobian: tuple[np.ndarray, ...] | None = None
+    Upsilon_factor: tuple[np.ndarray, ...] | None = None
 
     @property
     def a(self) -> int:
@@ -146,14 +133,7 @@ class MomentEstimates:
 
     @property
     def has_correlation(self) -> bool:
-        return self.rhat is not None
-
-    @property
-    def Upsilon_factor(self) -> tuple[np.ndarray, ...] | None:
-        """Factors M_i F_i of the correlation-scale covariances."""
-        if self.jacobian is None:
-            return None
-        return tuple(M @ F for M, F in zip(self.jacobian, self.Sigma_factor))
+        return self.rhat is not None and self.Upsilon_factor is not None
 
     @property
     def Sigma_pooled(self) -> np.ndarray:
@@ -174,12 +154,13 @@ class MomentEstimates:
 
 
 def _group_estimates(X: np.ndarray, correlation: bool):
-    """(vhat, F, rhat, M) of one group, from one centring of X and one V.
+    """(vhat, F, rhat, U) of one group, from one centring of X and one V.
 
     F is the narrower exact factor of the fourth-moment covariance
     (F @ F.T = Sigma): the recentred outer products over sqrt(n - 1) when
     n <= p, else the eigenvectors of the p x p estimate times the roots of
-    their positive eigenvalues.  rhat and M are None without ``correlation``.
+    their positive eigenvalues.  U = M F is the correlation-scale factor.
+    rhat and U are None without ``correlation``.
     """
     d, n = X.shape
     Xc = X - X.mean(axis=1, keepdims=True)
@@ -200,12 +181,15 @@ def _group_estimates(X: np.ndarray, correlation: bool):
         return vhat, F, None, None
     if d < 2:
         raise ValueError("correlation vectorization needs d >= 2")
-    if np.any(np.diag(V) <= 0.0):
+    var = np.diag(V)
+    if np.any(var <= 0.0):
         raise ValueError("degenerate component: zero sample variance")
-    sd = np.sqrt(np.diag(V))
+    sd = np.sqrt(var)
     R = np.clip(V / np.outer(sd, sd), -1.0, 1.0)
     np.fill_diagonal(R, 1.0)
-    return vhat, F, vech_strict(R), correlation_jacobian(vhat)
+    rhat = vech_strict(R)
+    U = sum(c[:, None] * F[cols] for cols, c in _jacobian_terms(var, rhat))
+    return vhat, F, rhat, U
 
 
 def pool_estimates(sample: GroupedSample, include_correlation: bool | None = None) -> MomentEstimates:
@@ -217,9 +201,10 @@ def pool_estimates(sample: GroupedSample, include_correlation: bool | None = Non
     if include_correlation is None:
         include_correlation = sample.d >= 2
     groups = (_group_estimates(X, include_correlation) for X in sample.groups)
-    vhat, factors, rhat, jacobian = zip(*groups)
+    vhat, factors, rhat, upsilon = zip(*groups)
     if not include_correlation:
-        rhat = jacobian = None
+        rhat = upsilon = None
     return MomentEstimates(
-        d=sample.d, n=sample.n, vhat=vhat, Sigma_factor=factors, rhat=rhat, jacobian=jacobian
+        d=sample.d, n=sample.n, vhat=vhat, Sigma_factor=factors, rhat=rhat,
+        Upsilon_factor=upsilon,
     )

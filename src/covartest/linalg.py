@@ -9,8 +9,6 @@ memory with the matrix; symmetric matrices are plain float ndarrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -51,19 +49,6 @@ def vech_strict(S) -> np.ndarray:
     v = S[np.triu_indices(d, k=1)]
     v.setflags(write=False)
     return v
-
-
-def unvech(v) -> np.ndarray:
-    """Rebuild the symmetric matrix from a full half-vector."""
-    v = np.asarray(v, dtype=float).ravel()
-    d = (math.isqrt(8 * len(v) + 1) - 1) // 2
-    if full_length(d) != len(v):
-        raise ValueError(f"length {len(v)} is not a triangular number for a full half-vector")
-    out = np.zeros((d, d))
-    iu = vech_pairs(d)
-    out[iu] = v
-    out.T[iu] = v
-    return out
 
 
 def vech_pairs(d: int, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import covartest
-from covartest.estimation import MomentEstimates, correlation_jacobian
+from covartest.estimation import MomentEstimates
 from covartest.linalg import vech, vech_strict
+from reference_loops import correlation_jacobian
 
 settings.register_profile(
     "suite",
@@ -78,7 +79,7 @@ def synthetic_estimates(
         vhat=vhat,
         Sigma_factor=factors,
         rhat=tuple(vech_strict(R) for R in rmats),
-        jacobian=tuple(correlation_jacobian(v) for v in vhat),
+        Upsilon_factor=tuple(correlation_jacobian(v) @ F for v, F in zip(vhat, factors)),
     )
 
 

@@ -13,12 +13,18 @@ they never changed the output.
 
 The dense helpers below the loops have no caller in the package, so they
 live here: ``psd_factor``, ``group_fourth_moment_cov``, the dense
-per-group matrices ``dense_sigma`` and ``dense_upsilon``, and the band
+per-group matrices ``dense_sigma`` and ``dense_upsilon``, the band
 helpers ``reference_bands`` and ``calibration_rejection_rate`` of the
-combined test.
+combined test, and the dense delta-method Jacobian ``correlation_jacobian``
+with the ``unvech`` it reads.  The package forms the correlation-scale
+factors M_i F_i from the three nonzeros of each row of M_i; the TAY and
+combined loops here build the dense M_i from the covariance half-vector
+instead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from covartest.linalg import (
     full_length,
     strict_length,
     vech_diag_positions,
+    vech_pairs,
 )
 
 _MC_CHUNK_ELEMENTS = 1 << 22
@@ -162,7 +169,8 @@ def taylor_reference_loop(
     ps = strict_length(est.d)
     p = full_length(est.d)
     K = []
-    for i, (n_i, Sig, M) in enumerate(zip(est.n, dense_sigma(est), est.jacobian)):
+    for i, (n_i, Sig, v) in enumerate(zip(est.n, dense_sigma(est), est.vhat)):
+        M = correlation_jacobian(v)
         L = psd_factor(Sig)
         K.append(E[:, i * ps:(i + 1) * ps] @ (np.sqrt(N / n_i) * (M @ L)))
 
@@ -191,8 +199,8 @@ def simulate_reference_loop(est: MomentEstimates, B: int, seed: int) -> np.ndarr
     selector = np.zeros((d, p))
     selector[np.arange(d), diag] = 1.0
     W = []
-    for n_i, Sig, M in zip(est.n, dense_sigma(est), est.jacobian):
-        A = np.vstack([selector, M])
+    for n_i, Sig, v in zip(est.n, dense_sigma(est), est.vhat):
+        A = np.vstack([selector, correlation_jacobian(v)])
         W.append(np.sqrt(N / n_i) * (A @ psd_factor(Sig)))
     out = np.empty((B, W[0].shape[0]))
     for b in range(B):
@@ -245,10 +253,54 @@ def dense_sigma(est: MomentEstimates) -> tuple[np.ndarray, ...]:
 
 
 def dense_upsilon(est: MomentEstimates) -> tuple[np.ndarray, ...] | None:
-    """Dense per-group correlation-scale covariances (M_i F_i)(M_i F_i)^T."""
+    """Dense per-group correlation-scale covariances U_i U_i^T, from the
+    stored factors U_i = M_i F_i."""
     if est.Upsilon_factor is None:
         return None
     return tuple(F @ F.T for F in est.Upsilon_factor)
+
+
+def unvech(v) -> np.ndarray:
+    """Rebuild the symmetric matrix from a full half-vector."""
+    v = np.asarray(v, dtype=float).ravel()
+    d = (math.isqrt(8 * len(v) + 1) - 1) // 2
+    if full_length(d) != len(v):
+        raise ValueError(f"length {len(v)} is not a triangular number for a full half-vector")
+    out = np.zeros((d, d))
+    iu = vech_pairs(d)
+    out[iu] = v
+    out.T[iu] = v
+    return out
+
+
+def correlation_jacobian(v) -> np.ndarray:
+    """Delta-method Jacobian of the correlation vector in the covariance vector.
+
+    Row (j, k) has entry (v_jj v_kk)^(-1/2) at position (j, k),
+    -r_jk / (2 v_jj) at (j, j) and -r_jk / (2 v_kk) at (k, k); all other
+    entries vanish.
+    """
+    V = unvech(v)
+    d = V.shape[0]
+    if d < 2:
+        raise ValueError("correlation vectorization needs d >= 2")
+    var = np.diag(V).copy()
+    if np.any(var <= 0.0):
+        raise ValueError("degenerate component: nonpositive variance")
+    rows_j, rows_k = vech_pairs(d, strict=True)
+    r = V[rows_j, rows_k] / np.sqrt(var[rows_j] * var[rows_k])
+    M = np.zeros((strict_length(d), full_length(d)))
+    t = np.arange(len(rows_j))
+
+    def pos(j, k):
+        # full half-vector position of (j, k) with j <= k: row j starts
+        # after the d + (d - 1) + ... + (d - j + 1) entries of rows 0..j-1
+        return j * (2 * d - j + 1) // 2 + k - j
+
+    M[t, pos(rows_j, rows_k)] = 1.0 / np.sqrt(var[rows_j] * var[rows_k])
+    M[t, pos(rows_j, rows_j)] = -r / (2.0 * var[rows_j])
+    M[t, pos(rows_k, rows_k)] = -r / (2.0 * var[rows_k])
+    return M
 
 
 def reference_bands(draws: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,8 @@ from covartest.combined import (
 from covartest.engine import ats, mc_reference, run_test
 from covartest.estimation import (
     GroupedSample,
+    _jacobian_terms,
     pool_estimates,
-    correlation_jacobian,
 )
 from covartest.hypotheses import (
     COVARIANCE,
@@ -32,9 +32,9 @@ from covartest.hypotheses import (
     predefined_hypothesis,
     structure_hypothesis,
 )
-from covartest.linalg import vech, vech_strict
+from covartest.linalg import full_length, strict_length, vech, vech_strict
 from conftest import gaussian_sample, make_spd, synthetic_estimates
-from reference_loops import calibration_rejection_rate, dense_sigma
+from reference_loops import calibration_rejection_rate, dense_sigma, unvech
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "eeg_wide.csv")
 
@@ -147,8 +147,6 @@ def test_criterion_02_jacobians_match_finite_differences():
         return np.asarray(J).T
 
     def corr_map(v):
-        from covartest.linalg import unvech
-
         V = unvech(np.asarray(v))
         sd = np.sqrt(np.diag(V))
         R = V / np.outer(sd, sd)
@@ -168,7 +166,10 @@ def test_criterion_02_jacobians_match_finite_differences():
         d = 3 + point % 2
         V = make_spd(rng, d)
         v = vech(V)
-        J = correlation_jacobian(v)
+        # the Jacobian assembled from the package's own row coefficients
+        J = np.zeros((strict_length(d), full_length(d)))
+        for cols, c in _jacobian_terms(np.diag(V), corr_map(v)):
+            J[np.arange(len(c)), cols] = c
         F = fd(corr_map, v)
         err = np.abs(J - F).max() / max(1.0, np.abs(J).max())
         if err > 1e-5:

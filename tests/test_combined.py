@@ -11,7 +11,12 @@ from covartest.combined import (
 )
 from covartest.estimation import GroupedSample, pool_estimates
 from conftest import gaussian_sample, make_spd, synthetic_estimates
-from reference_loops import calibration_rejection_rate, dense_sigma, reference_bands
+from reference_loops import (
+    calibration_rejection_rate,
+    correlation_jacobian,
+    dense_sigma,
+    reference_bands,
+)
 
 
 def two_groups(rng, d=3, n=(40, 50), scale2=1.0):
@@ -90,8 +95,8 @@ class TestSimulateReference:
         selector = np.zeros((d, p))
         selector[np.arange(d), vech_diag_positions(d)] = 1.0
         target = np.zeros((2 * d, 2 * d))
-        for n_i, Sig, M in zip(est.n, dense_sigma(est), est.jacobian):
-            A = np.vstack([selector, M])
+        for n_i, Sig, v in zip(est.n, dense_sigma(est), est.vhat):
+            A = np.vstack([selector, correlation_jacobian(v)])
             target += (N / n_i) * (A @ Sig @ A.T)
         big = np.abs(target) >= 0.2 * np.abs(target).max()
         assert_allclose(emp[big], target[big], rtol=0.15)

@@ -4,15 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from covartest.estimation import (
-    GroupedSample,
-    MomentEstimates,
-    correlation_jacobian,
-    pool_estimates,
-)
-from covartest.linalg import full_length, strict_length, unvech, vech, vech_strict
+from covartest.combined import simulate_reference
+from covartest.engine import run_test
+from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
+from covartest.hypotheses import CORRELATION, predefined_hypothesis
+from covartest.linalg import full_length, strict_length, vech, vech_strict
 from conftest import gaussian_sample, make_spd
-from reference_loops import dense_sigma, dense_upsilon, group_fourth_moment_cov
+from reference_loops import (
+    correlation_jacobian,
+    dense_sigma,
+    dense_upsilon,
+    group_fourth_moment_cov,
+    unvech,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -190,6 +194,9 @@ class TestCorrVector:
 
 
 class TestCorrelationJacobian:
+    # the dense reference Jacobian of reference_loops, which the package's
+    # correlation-scale factors are checked against below
+
     def test_identity_covariance(self):
         M = correlation_jacobian(np.array([1.0, 0.0, 1.0]))
         assert_array_equal(M, [[0.0, 1.0, 0.0]])
@@ -224,11 +231,31 @@ class TestUpsilon:
         v = vech(make_spd(rng, 2))
         S = make_spd(rng, 3)
         M = correlation_jacobian(v)
-        est = MomentEstimates(d=2, n=(10,), vhat=(v,), Sigma_factor=(np.linalg.cholesky(S),),
-                              jacobian=(M,))
+        L = np.linalg.cholesky(S)
+        est = MomentEstimates(d=2, n=(10,), vhat=(v,), Sigma_factor=(L,),
+                              Upsilon_factor=(M @ L,))
         U = dense_upsilon(est)[0]
         assert U.shape == (1, 1)
         assert_allclose(U, M @ S @ M.T, atol=1e-12)
+
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+    def test_factor_is_dense_jacobian_times_sigma_factor(self, d, seed):
+        # one group with n <= p (F is the recentred outer products) and one
+        # with n > p (F comes from the eigendecomposition)
+        rng = np.random.default_rng(seed)
+        p = full_length(d)
+        n = (int(rng.integers(2, p + 1)), int(rng.integers(p + 1, 2 * p + 6)))
+        V = make_spd(rng, d)
+        est = pool_estimates(GroupedSample(tuple(gaussian_sample(rng, V, n_i) for n_i in n)))
+        assert est.Sigma_factor[0].shape[1] == n[0]
+        for v, F, U in zip(est.vhat, est.Sigma_factor, est.Upsilon_factor):
+            M = correlation_jacobian(v)
+            expect = M @ F
+            assert U.shape == expect.shape
+            # each entry sums three products; as |r| nears 1 they cancel, so
+            # rounding is bounded by the largest entry of |M| |F|, not of M F
+            scale = (np.abs(M) @ np.abs(F)).max()
+            assert np.abs(U - expect).max() <= 1e-13 * scale
 
 
 # ------------------------------------------------------------- pooling
@@ -341,6 +368,22 @@ class TestPooling:
     def test_package_arrays_stored_uncopied(self, rng):
         est = pool_estimates(GroupedSample((rng.standard_normal((3, 10)),)))
         again = MomentEstimates(d=est.d, n=est.n, vhat=est.vhat, Sigma_factor=est.Sigma_factor,
-                                rhat=est.rhat, jacobian=est.jacobian)
-        for name in ("vhat", "Sigma_factor", "rhat", "jacobian"):
+                                rhat=est.rhat, Upsilon_factor=est.Upsilon_factor)
+        for name in ("vhat", "Sigma_factor", "rhat", "Upsilon_factor"):
             assert all(x is y for x, y in zip(getattr(est, name), getattr(again, name)))
+
+    def test_correlations_without_their_factor_are_rejected(self, rng):
+        # estimates that hold rhat but no correlation-scale factor have no
+        # correlation components: every correlation path says so
+        V = make_spd(rng, 3)
+        sample = GroupedSample(tuple(gaussian_sample(rng, V, n_i) for n_i in (20, 25)))
+        est = pool_estimates(sample)
+        partial = MomentEstimates(d=est.d, n=est.n, vhat=est.vhat, Sigma_factor=est.Sigma_factor,
+                                  rhat=est.rhat)
+        assert not partial.has_correlation
+        spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
+        for method in ("MC", "TAY"):
+            with pytest.raises(ValueError, match="lack correlation"):
+                run_test(sample, spec, method=method, repetitions=500, seed=1, est=partial)
+        with pytest.raises(ValueError, match="lack correlation"):
+            simulate_reference(partial, B=500, seed=1)

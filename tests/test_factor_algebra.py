@@ -39,7 +39,7 @@ from covartest.hypotheses import (
 )
 from covartest.linalg import full_length
 from conftest import gaussian_sample, make_spd
-from reference_loops import group_fourth_moment_cov
+from reference_loops import correlation_jacobian, group_fourth_moment_cov
 
 REL = 1e-10
 
@@ -59,7 +59,8 @@ def dense_oracle(spec, sample):
         theta = est.vhat_pooled
     else:
         theta = est.rhat_pooled
-        S = [M_i @ S_i @ M_i.T for M_i, S_i in zip(est.jacobian, S)]
+        M = [correlation_jacobian(v) for v in est.vhat]
+        S = [M_i @ S_i @ M_i.T for M_i, S_i in zip(M, S)]
     pooled = scipy.linalg.block_diag(*[(N / X.shape[1]) * S_i for X, S_i in zip(groups, S)])
     if spec.transform is None:
         u, E = spec.C @ theta - spec.zeta, spec.C

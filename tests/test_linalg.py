@@ -8,7 +8,6 @@ from covartest.linalg import (
     centering_matrix,
     full_length,
     strict_length,
-    unvech,
     vech,
     vech_diag_positions,
     vech_offdiag_positions,
@@ -18,7 +17,7 @@ from covartest.linalg import (
 )
 from covartest.engine import _gram_spectrum
 from conftest import make_spd
-from reference_loops import psd_factor
+from reference_loops import psd_factor, unvech
 
 
 def naive_pairs(d, strict):

@@ -14,6 +14,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("argv", [
     ["demo.py"],
     ["size_study.py", "--runs", "20", "--repetitions", "500"],
+    ["size_study.py", "--test", "correlation", "--method", "TAY",
+     "--runs", "20", "--repetitions", "500"],
+    ["size_study.py", "--test", "combined", "--runs", "20", "--repetitions", "500"],
 ])
 def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
