@@ -165,6 +165,75 @@ def ingest(
     the named categorical column (in first-appearance order of its labels)
     or from explicit sizes partitioning the rows in order; with neither,
     all rows form a single group.
+
+    One structured ``np.loadtxt`` pass reads a well-formed file; the row
+    scanner reads any other and names its first fault.
+    """
+    data, labels = _read_structured(path, group_column) or _scan_rows(path, group_column)
+    if labels is not None:
+        groups = _split_by_label(data, labels)
+    elif group_sizes is not None:
+        if sum(group_sizes) != len(data):
+            raise DataError(
+                f"--group-sizes adds up to {sum(group_sizes)} "
+                f"but {path} has {len(data)} observations"
+            )
+        edges = np.cumsum((0,) + group_sizes)
+        groups = [data[lo:hi].T for lo, hi in zip(edges[:-1], edges[1:])]
+    else:
+        groups = [data.T]
+    try:
+        return GroupedSample(tuple(groups))
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
+def _read_structured(path: str, group_column: str | None) -> tuple | None:
+    """The rows and raw group labels in one structured ``np.loadtxt`` pass.
+
+    Returns what ``_scan_rows`` returns, with the labels not yet stripped,
+    or None where the scanner must read the file and name its fault: a file
+    that cannot be opened or decoded, a missing group column, any row loadtxt
+    refuses (a bad cell, a ragged or whitespace-only row), no rows at all,
+    and a header with a quote, which may span lines.  The file handle, not
+    the path, goes to loadtxt, which would otherwise decompress ``.gz``
+    names and fetch URLs.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError:
+        return None
+    with fh:
+        try:
+            line = fh.readline()
+        except ValueError:
+            return None
+        if '"' in line:
+            return None
+        header = [h.strip() for h in next(csv.reader([line]))]
+        if group_column is not None and group_column not in header:
+            return None
+        gidx = None if group_column is None else header.index(group_column)
+        value_idx = [i for i in range(len(header)) if i != gidx]
+        if not value_idx:
+            return None
+        # an object field keeps every label whole; a "U" field would cut it
+        dtype = [(str(i), object if i == gidx else float) for i in range(len(header))]
+        try:
+            table = _loadtxt(fh, dtype=dtype, comments=None, quotechar='"', ndmin=1)
+        except ValueError:  # UnicodeDecodeError included
+            return None
+    if not len(table):
+        return None
+    data = np.column_stack([table[str(i)] for i in value_idx])
+    return data, None if gidx is None else table[str(gidx)]
+
+
+def _scan_rows(path: str, group_column: str | None) -> tuple:
+    """The rows and stripped group labels, read cell by cell.
+
+    Every fault in the data file is raised here as a DataError that names
+    its row and column.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -213,27 +282,25 @@ def ingest(
         ) from None
     if not values:
         raise DataError(f"{path} contains no observations")
-    data = np.asarray(values, dtype=float)
+    return np.asarray(values, dtype=float), None if gidx is None else labels
 
-    if gidx is not None:
-        order: dict[str, list[int]] = {}
-        for i, lab in enumerate(labels):
-            order.setdefault(lab, []).append(i)
-        groups = [data[idx].T for idx in order.values()]
-    elif group_sizes is not None:
-        if sum(group_sizes) != len(data):
-            raise DataError(
-                f"--group-sizes adds up to {sum(group_sizes)} "
-                f"but {path} has {len(data)} observations"
-            )
-        edges = np.cumsum((0,) + group_sizes)
-        groups = [data[lo:hi].T for lo, hi in zip(edges[:-1], edges[1:])]
-    else:
-        groups = [data.T]
-    try:
-        return GroupedSample(tuple(groups))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+
+def _split_by_label(data: np.ndarray, labels) -> list[np.ndarray]:
+    """The rows of data as one d x n_i group per label, in order of first
+    appearance.  Labels equal up to surrounding whitespace share a group;
+    only the distinct raw labels are stripped."""
+    raw, first, inverse = np.unique(
+        np.asarray(labels, dtype=object), return_index=True, return_inverse=True
+    )
+    # number the stripped labels in the order their first rows appear
+    ids: dict[str, int] = {}
+    by_first = np.argsort(first)
+    key = np.empty(len(raw), dtype=np.intp)
+    key[by_first] = [ids.setdefault(lab.strip(), len(ids)) for lab in raw[by_first]]
+    group = key[inverse]
+    rows = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group))[:-1]
+    return [data[idx].T for idx in np.split(rows, bounds)]
 
 
 def write_csv(sample: GroupedSample, path: str, group_column: str | None = None) -> None:
@@ -253,9 +320,17 @@ def write_csv(sample: GroupedSample, path: str, group_column: str | None = None)
                 writer.writerow(row)
 
 
+def _loadtxt(source, **options) -> np.ndarray:
+    """np.loadtxt on comma-separated text, without its warning on input
+    that holds no rows: each caller reports that case itself."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", **options)
+
+
 def _load_array(path: str, what: str, ndmin: int) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndmin, encoding="utf-8-sig")
+        return _loadtxt(path, dtype=float, ndmin=ndmin, encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {what} file {path}: {exc}") from exc
     except ValueError as exc:

@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from covartest import cli
 from covartest.cli import DataError, ingest, main, write_csv
 from covartest.estimation import GroupedSample
 from conftest import subprocess_env
@@ -37,6 +40,48 @@ def run_cli(*argv):
 def one_group_file(tmp_path, d=3, n=40, seed=2):
     rng = np.random.default_rng(seed)
     return data_csv(tmp_path, [rng.standard_normal((d, n))], group_column=None)
+
+
+def scanner_groups(path, group_column=None):
+    """The groups of the row scanner alone, split by a dict of row lists in
+    order of first appearance; a DataError as ``ingest`` raises it."""
+    data, labels = cli._scan_rows(path, group_column)
+    if labels is None:
+        return [data.T]
+    rows = {}
+    for i, label in enumerate(labels):
+        rows.setdefault(label, []).append(i)
+    return [data[idx].T for idx in rows.values()]
+
+
+def scanner_ingest(path, group_column=None):
+    """``ingest`` as the row scanner alone gives it: the groups, or the text
+    of its DataError."""
+    try:
+        groups = scanner_groups(path, group_column)
+        GroupedSample(tuple(groups))
+    except (DataError, ValueError) as exc:
+        return str(exc)
+    return groups
+
+
+def assert_same_groups(got, expect):
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert g.shape == e.shape and g.strides == e.strides
+        assert g.tobytes() == e.tobytes()
+
+
+def assert_ingest_as_scanner(path, group_column=None):
+    """ingest gives the scanner's groups, or its DataError word for word."""
+    expect = scanner_ingest(path, group_column)
+    if isinstance(expect, str):
+        with pytest.raises(DataError) as exc:
+            ingest(path, group_column=group_column)
+        assert str(exc.value) == expect
+    else:
+        assert_same_groups(ingest(path, group_column=group_column).groups, expect)
+    return expect
 
 
 class TestIngest:
@@ -117,6 +162,162 @@ class TestIngest:
         write_csv(sample, str(p1))
         write_csv(ingest(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_whitespace_only_line_takes_the_scanner(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,g\n1,2,a\n3,4,b\n   \t\n5,6,a\n7,8,b\n")
+        assert cli._read_structured(str(path), "g") is None
+        groups = assert_ingest_as_scanner(str(path), "g")
+        assert_array_equal(groups[0], [[1.0, 5.0], [2.0, 6.0]])
+
+    def test_quoted_cells_and_labels(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('x1,x2,g\n"1"," 2 ","a,b"\n3,"4",a\n"5",6,"a,b"\n7,8," a"\n')
+        assert cli._read_structured(str(path), "g") is not None
+        groups = assert_ingest_as_scanner(str(path), "g")
+        assert_array_equal(groups[0], [[1.0, 5.0], [2.0, 6.0]])
+        assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
+
+    def test_non_utf8_byte_is_one_data_line(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x1,x2,g\n1,2,a\n2,1,a\n3,5,caf\xe9\n4,4,caf\xe9\n")
+        assert cli._read_structured(str(path), "g") is None
+        assert_ingest_as_scanner(str(path), "g")
+        code = main(["--data", str(path), "--group-column", "g", "--target",
+                     "covariance", "--hypothesis", "equal", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (f"covartest: error: data: {path} is not UTF-8 text: "
+                       "byte 0xe9 cannot be decoded\n")
+
+    def test_header_only_file_is_one_data_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,g\n")
+        assert cli._read_structured(str(path), "g") is None
+        assert assert_ingest_as_scanner(str(path), "g") == f"{path} contains no observations"
+        proc = run_cli("--data", str(path), "--group-column", "g", "--target",
+                       "covariance", "--hypothesis", "equal", "--seed", "1")
+        assert proc.returncode == 3
+        assert proc.stderr == f"covartest: error: data: {path} contains no observations\n"
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,x\n3,4\n", "row 3 has 2 fields, expected 3"),
+        ("1,2,x\n3,4,y,5\n", "row 3 has 4 fields, expected 3"),
+    ])
+    def test_ragged_rows_name_their_row(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,g\n" + body)
+        assert cli._read_structured(str(path), "g") is None
+        assert assert_ingest_as_scanner(str(path), "g") == message
+
+    def test_long_labels_stay_whole(self, tmp_path):
+        # a "U64" field would merge the two labels that share 64 characters
+        long, twin_a, twin_b = "L" * 100, "P" * 64 + "a", "P" * 64 + "b"
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,g\n" + "".join(
+            f"{i},{i % 3},{label}\n"
+            for i, label in enumerate([long, twin_a, twin_b] * 2)
+        ))
+        assert cli._read_structured(str(path), "g") is not None
+        groups = assert_ingest_as_scanner(str(path), "g")
+        assert len(groups) == 3
+        assert_array_equal(groups[2], [[2.0, 5.0], [2.0, 2.0]])
+
+    def test_labels_equal_after_stripping_merge(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('x1,x2,g\n1,2, g1\n3,4,g2\n5,6,g1\n7,8,"g2 "\n')
+        assert cli._read_structured(str(path), "g") is not None
+        groups = assert_ingest_as_scanner(str(path), "g")
+        assert_array_equal(groups[0], [[1.0, 5.0], [2.0, 6.0]])
+        assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
+
+    def test_hash_is_part_of_a_label(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,g\n1,2,a#1\n3,4,a#2\n5,6,a#1\n7,8,a#2\n")
+        assert cli._read_structured(str(path), "g") is not None
+        groups = assert_ingest_as_scanner(str(path), "g")
+        assert len(groups) == 2
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'x1,x2,g\r\n1,2,a\r\n3,4,b\r\n5,6,a\r\n7,8,"b"\r\n')
+        assert cli._read_structured(str(path), "g") is not None
+        groups = assert_ingest_as_scanner(str(path), "g")
+        assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,g\n1,2,a\n")
+        data, labels = cli._read_structured(str(path), "g")
+        assert_array_equal(data, [[1.0, 2.0]])
+        assert list(labels) == ["a"]
+        message = assert_ingest_as_scanner(str(path), "g")
+        assert message == "group 1 needs at least 2 observations, got 1"
+        path.write_text("x1,x2\n1,2\n")
+        assert cli._read_structured(str(path), None)[0].shape == (1, 2)
+        assert_ingest_as_scanner(str(path))
+
+
+# cells that both readers take, and cells that send the file to the scanner
+NUMBERS = ["1", "-2.5", "3e-2", " 4 ", '"5"', '" 6 "', "0.10000000000000001", "+.5", "7.", "\t8"]
+BAD_NUMBERS = ["", "oops", "1_0", "inf", "nan", "1e999", "0x1", '"1"2', ' "3"', "\u0661"]
+LABELS = ["g1", " g1", '"g1 "', "g2", "a#1", '"a,b"', 'a"b', '"a""b"', "", '"x\ny"',
+          "L" * 100, "P" * 64 + "a", "P" * 64 + "b", "caf\u00e9"]
+
+
+@st.composite
+def csv_files(draw):
+    """Small data files that mix quoting, whitespace, long labels, blank and
+    whitespace-only lines, ragged rows, bad cells, CRLF, a byte-order mark
+    and bytes that are not UTF-8."""
+    d = draw(st.integers(1, 3))
+    names = [f"x{j + 1}" for j in range(d)]
+    grouped = draw(st.booleans())
+    if grouped:
+        names.insert(draw(st.integers(0, d)), "g")
+    header = ",".join(f'"{n}"' if draw(st.integers(0, 9)) == 0 else n for n in names)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.sampled_from(LABELS)) if n == "g" else draw(st.sampled_from(NUMBERS))
+               for n in names]
+        fault = draw(st.integers(0, 12))
+        if fault == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
+        elif fault == 1:
+            row.append("9")
+        elif fault == 2 and len(row) > 1:
+            row.pop()
+        elif fault == 3:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", ",".join([" "] * len(row))])))
+        lines.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, "", eol + eol]))
+    raw = (("\ufeff" if draw(st.booleans()) else "") + text).encode()
+    if draw(st.integers(0, 9)) == 0:
+        raw = raw.replace("\u00e9".encode(), b"\xe9")  # Latin-1, not UTF-8
+    return raw, "g" if grouped else None
+
+
+class TestIngestMatchesScanner:
+    @settings(max_examples=200)
+    @given(csv_files())
+    @example((b"x1,g\n1," + b"P" * 64 + b"a\n2," + b"P" * 64 + b"b\n"
+              b"3," + b"P" * 64 + b"a\n4," + b"P" * 64 + b"b\n", "g"))
+    def test_structured_read_declines_or_agrees(self, tmp_path_factory, case):
+        raw, group_column = case
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(raw)
+        path = str(path)
+        rows = cli._read_structured(path, group_column)
+        if rows is not None:
+            data, labels = cli._scan_rows(path, group_column)
+            assert data.tobytes() == rows[0].tobytes() and data.shape == rows[0].shape
+            if group_column is None:
+                assert rows[1] is None
+            else:
+                assert [lab.strip() for lab in rows[1]] == labels
+                assert_same_groups(cli._split_by_label(*rows), scanner_groups(path, group_column))
+        assert_ingest_as_scanner(path, group_column)
 
 
 class TestRuns:
@@ -637,6 +838,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("covartest: error: config: ")
         assert proc.stderr.count("\n") == 1
+
+
+    @pytest.mark.parametrize("kind, message", [
+        ("C", "C needs at least one row"),
+        ("zeta", "zeta has length 0 but C has 1 rows"),
+        ("matrix", "the target matrix must be 3x3, got shape (0, 1)"),
+    ], ids=["C", "zeta", "matrix"])
+    def test_empty_array_file_is_one_config_line(self, tmp_path, kind, message):
+        # loadtxt warns on a file without rows; only the error is printed
+        path = one_group_file(tmp_path)
+        files = {"C": "1,0,0,0,0,0\n", "zeta": "0\n", "matrix": ""}
+        files[kind] = ""
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        if kind == "matrix":
+            flags = ["--hypothesis", "given-matrix", "--matrix", str(tmp_path / "matrix.csv")]
+        else:
+            flags = ["--C", str(tmp_path / "C.csv"), "--zeta", str(tmp_path / "zeta.csv")]
+        proc = run_cli("--data", path, "--target", "covariance", *flags, "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == f"covartest: error: config: {message}\n"
 
 
 class TestCliWarnings:
