@@ -166,10 +166,44 @@ def ingest(
     or from explicit sizes partitioning the rows in order; with neither,
     all rows form a single group.
 
-    One structured ``np.loadtxt`` pass reads a well-formed file; the row
-    scanner reads any other and names its first fault.
+    The file is opened once and its header parsed once.  One structured
+    ``np.loadtxt`` pass reads the rows below it.  It declines for one
+    reason only: loadtxt raises ValueError on a row it refuses (a bad cell,
+    a ragged or whitespace-only row, bytes that are not UTF-8).  The row
+    scanner then reads the file again from the top and names the fault.
     """
-    data, labels = _read_structured(path, group_column) or _scan_rows(path, group_column)
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    try:
+        with fh:
+            try:
+                header = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise DataError(f"{path} is empty: no header row") from None
+            gidx: int | None = None
+            if group_column is not None:
+                if group_column not in header:
+                    raise DataError(f"group column {group_column!r} not found in {path}")
+                gidx = header.index(group_column)
+            if header in ([], [group_column]):
+                raise DataError(f"{path} has no numeric columns besides the group column")
+            try:
+                data, labels = _read_structured(fh, len(header), gidx)
+            except ValueError:
+                fh.seek(0)
+                data, labels = _scan_rows(fh, header, gidx)
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
+        ) from None
+    except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+        raise DataError(f"{path}: {exc}") from None
+    except OSError as exc:  # e.g. a pipe, which the scanner cannot read again
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not len(data):
+        raise DataError(f"{path} contains no observations")
     if labels is not None:
         groups = _split_by_label(data, labels)
     elif group_sizes is not None:
@@ -188,100 +222,51 @@ def ingest(
         raise DataError(str(exc)) from exc
 
 
-def _read_structured(path: str, group_column: str | None) -> tuple | None:
-    """The rows and raw group labels in one structured ``np.loadtxt`` pass.
+def _read_structured(fh, width: int, gidx: int | None) -> tuple:
+    """The rows below the header and their raw group labels, in one
+    structured ``np.loadtxt`` pass over the open file.
 
-    Returns what ``_scan_rows`` returns, with the labels not yet stripped,
-    or None where the scanner must read the file and name its fault: a file
-    that cannot be opened or decoded, a missing group column, any row loadtxt
-    refuses (a bad cell, a ragged or whitespace-only row), no rows at all,
-    and a header with a quote, which may span lines.  The file handle, not
-    the path, goes to loadtxt, which would otherwise decompress ``.gz``
-    names and fetch URLs.
+    Returns what ``_scan_rows`` returns, with the labels not yet stripped;
+    loadtxt's ValueError on a row it refuses passes through.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError:
-        return None
-    with fh:
-        try:
-            line = fh.readline()
-        except ValueError:
-            return None
-        if '"' in line:
-            return None
-        header = [h.strip() for h in next(csv.reader([line]))]
-        if group_column is not None and group_column not in header:
-            return None
-        gidx = None if group_column is None else header.index(group_column)
-        value_idx = [i for i in range(len(header)) if i != gidx]
-        if not value_idx:
-            return None
-        # an object field keeps every label whole; a "U" field would cut it
-        dtype = [(str(i), object if i == gidx else float) for i in range(len(header))]
-        try:
-            table = _loadtxt(fh, dtype=dtype, comments=None, quotechar='"', ndmin=1)
-        except ValueError:  # UnicodeDecodeError included
-            return None
-    if not len(table):
-        return None
-    data = np.column_stack([table[str(i)] for i in value_idx])
+    # an object field keeps every label whole; a "U" field would cut it
+    dtype = [(str(i), object if i == gidx else float) for i in range(width)]
+    table = _loadtxt(fh, dtype=dtype, comments=None, quotechar='"', ndmin=1)
+    data = np.column_stack([table[str(i)] for i in range(width) if i != gidx])
     return data, None if gidx is None else table[str(gidx)]
 
 
-def _scan_rows(path: str, group_column: str | None) -> tuple:
-    """The rows and stripped group labels, read cell by cell.
+def _scan_rows(fh, header: list[str], gidx: int | None) -> tuple:
+    """The rows and stripped group labels, read cell by cell from the top
+    of the open file.
 
-    Every fault in the data file is raised here as a DataError that names
-    its row and column.
+    Every fault in a row is raised here as a DataError that names its
+    column and the file line where its record starts.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    try:
-        with fh:
-            reader = csv.reader(fh)
+    reader = csv.reader(fh)
+    next(reader)  # the header, parsed by the caller
+    value_idx = [i for i in range(len(header)) if i != gidx]
+    values: list[list[float]] = []
+    labels: list[str] = []
+    start = reader.line_num + 1
+    for row in reader:
+        rownum, start = start, reader.line_num + 1
+        if not any(cell.strip() for cell in row):
+            continue  # ignore trailing blank lines
+        if len(row) != len(header):
+            raise DataError(f"row {rownum} has {len(row)} fields, expected {len(header)}")
+        parsed = []
+        for i in value_idx:
+            cell = row[i].strip()
             try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise DataError(f"{path} is empty: no header row") from None
-            gidx: int | None = None
-            if group_column is not None:
-                if group_column not in header:
-                    raise DataError(f"group column {group_column!r} not found in {path}")
-                gidx = header.index(group_column)
-            value_idx = [i for i in range(len(header)) if i != gidx]
-            if not value_idx:
-                raise DataError(f"{path} has no numeric columns besides the group column")
-            values: list[list[float]] = []
-            labels: list[str] = []
-            for rownum, row in enumerate(reader, start=2):
-                if not any(cell.strip() for cell in row):
-                    continue  # ignore trailing blank lines
-                if len(row) != len(header):
-                    raise DataError(
-                        f"row {rownum} has {len(row)} fields, expected {len(header)}"
-                    )
-                parsed = []
-                for i in value_idx:
-                    cell = row[i].strip()
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"non-numeric value {cell!r} at row {rownum}, "
-                            f"column {header[i]!r}"
-                        ) from None
-                values.append(parsed)
-                if gidx is not None:
-                    labels.append(row[gidx].strip())
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
-        ) from None
-    if not values:
-        raise DataError(f"{path} contains no observations")
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {cell!r} at row {rownum}, column {header[i]!r}"
+                ) from None
+        values.append(parsed)
+        if gidx is not None:
+            labels.append(row[gidx].strip())
     return np.asarray(values, dtype=float), None if gidx is None else labels
 
 
@@ -320,17 +305,20 @@ def write_csv(sample: GroupedSample, path: str, group_column: str | None = None)
                 writer.writerow(row)
 
 
-def _loadtxt(source, **options) -> np.ndarray:
-    """np.loadtxt on comma-separated text, without its warning on input
-    that holds no rows: each caller reports that case itself."""
+def _loadtxt(fh, **options) -> np.ndarray:
+    """np.loadtxt on an open comma-separated text file, without its warning
+    on input that holds no rows: each caller reports that case itself.  It
+    gets a handle, never a path, which it would decompress or fetch."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, delimiter=",", **options)
+        return np.loadtxt(fh, delimiter=",", **options)
 
 
 def _load_array(path: str, what: str, ndmin: int) -> np.ndarray:
+    """The numbers in a --C, --zeta or --matrix file, read as plain text."""
     try:
-        return _loadtxt(path, dtype=float, ndmin=ndmin, encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            return _loadtxt(fh, dtype=float, ndmin=ndmin)
     except OSError as exc:
         raise DataError(f"cannot open {what} file {path}: {exc}") from exc
     except ValueError as exc:

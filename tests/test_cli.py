@@ -1,6 +1,9 @@
+import gzip
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,27 +45,55 @@ def one_group_file(tmp_path, d=3, n=40, seed=2):
     return data_csv(tmp_path, [rng.standard_normal((d, n))], group_column=None)
 
 
-def scanner_groups(path, group_column=None):
-    """The groups of the row scanner alone, split by a dict of row lists in
-    order of first appearance; a DataError as ``ingest`` raises it."""
-    data, labels = cli._scan_rows(path, group_column)
-    if labels is None:
-        return [data.T]
+def split_by_dict(data, labels):
+    """The rows of data as one group per label, split by a dict of row
+    lists in order of first appearance."""
     rows = {}
     for i, label in enumerate(labels):
         rows.setdefault(label, []).append(i)
     return [data[idx].T for idx in rows.values()]
 
 
+def refuse(*args):
+    raise ValueError("the structured pass is switched off")
+
+
+def spy(real, got):
+    """real, appending each result it returns to got."""
+    def call(*args):
+        got.append(real(*args))
+        return got[-1]
+    return call
+
+
+def rows_read(path, group_column=None, structured=True):
+    """The rows and labels the structured pass handed to ``ingest``, or None
+    where it declined; with structured=False, those of the row scanner
+    alone."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        if structured:
+            mp.setattr(cli, "_read_structured", spy(cli._read_structured, got))
+        else:
+            mp.setattr(cli, "_read_structured", refuse)
+            mp.setattr(cli, "_scan_rows", spy(cli._scan_rows, got))
+        try:
+            ingest(path, group_column=group_column)
+        except DataError:
+            pass
+    return got[0] if got else None
+
+
 def scanner_ingest(path, group_column=None):
-    """``ingest`` as the row scanner alone gives it: the groups, or the text
-    of its DataError."""
-    try:
-        groups = scanner_groups(path, group_column)
-        GroupedSample(tuple(groups))
-    except (DataError, ValueError) as exc:
-        return str(exc)
-    return groups
+    """``ingest`` as the row scanner alone gives it, grouped by a dict of
+    row lists: the groups, or the text of its DataError."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_structured", refuse)
+        mp.setattr(cli, "_split_by_label", split_by_dict)
+        try:
+            return list(ingest(path, group_column=group_column).groups)
+        except DataError as exc:
+            return str(exc)
 
 
 def assert_same_groups(got, expect):
@@ -166,22 +197,31 @@ class TestIngest:
     def test_whitespace_only_line_takes_the_scanner(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,g\n1,2,a\n3,4,b\n   \t\n5,6,a\n7,8,b\n")
-        assert cli._read_structured(str(path), "g") is None
+        assert rows_read(str(path), "g") is None
         groups = assert_ingest_as_scanner(str(path), "g")
         assert_array_equal(groups[0], [[1.0, 5.0], [2.0, 6.0]])
 
     def test_quoted_cells_and_labels(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('x1,x2,g\n"1"," 2 ","a,b"\n3,"4",a\n"5",6,"a,b"\n7,8," a"\n')
-        assert cli._read_structured(str(path), "g") is not None
+        assert rows_read(str(path), "g") is not None
         groups = assert_ingest_as_scanner(str(path), "g")
         assert_array_equal(groups[0], [[1.0, 5.0], [2.0, 6.0]])
+        assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
+
+    def test_quoted_multiline_header_takes_the_structured_pass(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"x1","x\n2",g\n1,2,a\n3,4,b\n5,6,a\n7,8,b\n')
+        data, labels = rows_read(str(path), "g")
+        assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        assert list(labels) == ["a", "b", "a", "b"]
+        groups = assert_ingest_as_scanner(str(path), "g")
         assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
 
     def test_non_utf8_byte_is_one_data_line(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_bytes(b"x1,x2,g\n1,2,a\n2,1,a\n3,5,caf\xe9\n4,4,caf\xe9\n")
-        assert cli._read_structured(str(path), "g") is None
+        assert rows_read(str(path), "g") is None
         assert_ingest_as_scanner(str(path), "g")
         code = main(["--data", str(path), "--group-column", "g", "--target",
                      "covariance", "--hypothesis", "equal", "--seed", "1"])
@@ -193,7 +233,8 @@ class TestIngest:
     def test_header_only_file_is_one_data_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,g\n")
-        assert cli._read_structured(str(path), "g") is None
+        data, labels = rows_read(str(path), "g")
+        assert data.shape == (0, 2) and len(labels) == 0
         assert assert_ingest_as_scanner(str(path), "g") == f"{path} contains no observations"
         proc = run_cli("--data", str(path), "--group-column", "g", "--target",
                        "covariance", "--hypothesis", "equal", "--seed", "1")
@@ -207,8 +248,48 @@ class TestIngest:
     def test_ragged_rows_name_their_row(self, tmp_path, body, message):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,g\n" + body)
-        assert cli._read_structured(str(path), "g") is None
+        assert rows_read(str(path), "g") is None
         assert assert_ingest_as_scanner(str(path), "g") == message
+
+    def test_rows_are_named_by_file_line(self, tmp_path):
+        # the quoted label spans lines 2-3, so the ragged record is line 5
+        path = tmp_path / "d.csv"
+        path.write_text('x1,g\n1,"a\nb"\n2,c\n3\n')
+        with pytest.raises(DataError) as exc:
+            ingest(str(path), group_column="g")
+        assert str(exc.value) == "row 5 has 1 fields, expected 2"
+        path.write_text('x1,g\n1,"a\n\nb"\n\n2,c\n3,oops,\n')
+        with pytest.raises(DataError) as exc:
+            ingest(str(path), group_column="g")
+        assert str(exc.value) == "row 7 has 3 fields, expected 2"
+
+    def test_over_long_cell(self, tmp_path):
+        # the csv module refuses cells over 131,072 characters; loadtxt does not
+        long = "L" * 200_000
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,x2,g\n1,2,{long}\n3,4,{long}\n5,6,b\n7,8,b\n")
+        data, labels = rows_read(str(path), "g")
+        assert list(labels) == [long, long, "b", "b"]
+        assert ingest(str(path), group_column="g").n == (2, 2)
+        path.write_text(f"x1,x2,g\n1,2,{long}\n3,4\n")
+        proc = run_cli("--data", str(path), "--group-column", "g", "--target",
+                       "covariance", "--hypothesis", "equal", "--seed", "1")
+        assert proc.returncode == 3
+        assert proc.stderr == (f"covartest: error: data: {path}: "
+                               "field larger than field limit (131072)\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_the_scanner_cannot_reread_is_one_data_line(self, tmp_path):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("x1,x2\n1,2\n3\n",),
+                                  daemon=True)
+        writer.start()
+        with pytest.raises(DataError) as exc:
+            ingest(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(exc.value) == f"cannot read {path}: underlying stream is not seekable"
 
     def test_long_labels_stay_whole(self, tmp_path):
         # a "U64" field would merge the two labels that share 64 characters
@@ -218,7 +299,7 @@ class TestIngest:
             f"{i},{i % 3},{label}\n"
             for i, label in enumerate([long, twin_a, twin_b] * 2)
         ))
-        assert cli._read_structured(str(path), "g") is not None
+        assert rows_read(str(path), "g") is not None
         groups = assert_ingest_as_scanner(str(path), "g")
         assert len(groups) == 3
         assert_array_equal(groups[2], [[2.0, 5.0], [2.0, 2.0]])
@@ -226,7 +307,7 @@ class TestIngest:
     def test_labels_equal_after_stripping_merge(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('x1,x2,g\n1,2, g1\n3,4,g2\n5,6,g1\n7,8,"g2 "\n')
-        assert cli._read_structured(str(path), "g") is not None
+        assert rows_read(str(path), "g") is not None
         groups = assert_ingest_as_scanner(str(path), "g")
         assert_array_equal(groups[0], [[1.0, 5.0], [2.0, 6.0]])
         assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
@@ -234,27 +315,27 @@ class TestIngest:
     def test_hash_is_part_of_a_label(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,g\n1,2,a#1\n3,4,a#2\n5,6,a#1\n7,8,a#2\n")
-        assert cli._read_structured(str(path), "g") is not None
+        assert rows_read(str(path), "g") is not None
         groups = assert_ingest_as_scanner(str(path), "g")
         assert len(groups) == 2
 
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b'x1,x2,g\r\n1,2,a\r\n3,4,b\r\n5,6,a\r\n7,8,"b"\r\n')
-        assert cli._read_structured(str(path), "g") is not None
+        assert rows_read(str(path), "g") is not None
         groups = assert_ingest_as_scanner(str(path), "g")
         assert_array_equal(groups[1], [[3.0, 7.0], [4.0, 8.0]])
 
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,g\n1,2,a\n")
-        data, labels = cli._read_structured(str(path), "g")
+        data, labels = rows_read(str(path), "g")
         assert_array_equal(data, [[1.0, 2.0]])
         assert list(labels) == ["a"]
         message = assert_ingest_as_scanner(str(path), "g")
         assert message == "group 1 needs at least 2 observations, got 1"
         path.write_text("x1,x2\n1,2\n")
-        assert cli._read_structured(str(path), None)[0].shape == (1, 2)
+        assert rows_read(str(path))[0].shape == (1, 2)
         assert_ingest_as_scanner(str(path))
 
 
@@ -308,15 +389,15 @@ class TestIngestMatchesScanner:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_bytes(raw)
         path = str(path)
-        rows = cli._read_structured(path, group_column)
-        if rows is not None:
-            data, labels = cli._scan_rows(path, group_column)
+        rows = rows_read(path, group_column)
+        if rows is not None and len(rows[0]):  # no rows: ingest's own error, checked below
+            data, labels = rows_read(path, group_column, structured=False)
             assert data.tobytes() == rows[0].tobytes() and data.shape == rows[0].shape
             if group_column is None:
                 assert rows[1] is None
             else:
                 assert [lab.strip() for lab in rows[1]] == labels
-                assert_same_groups(cli._split_by_label(*rows), scanner_groups(path, group_column))
+                assert_same_groups(cli._split_by_label(*rows), split_by_dict(data, labels))
         assert_ingest_as_scanner(path, group_column)
 
 
@@ -735,6 +816,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "contrast" in err
+
+    def test_compressed_contrast_file_is_not_decompressed(self, tmp_path, capsys):
+        path = one_group_file(tmp_path)
+        cpath = tmp_path / "C.csv.gz"
+        cpath.write_bytes(gzip.compress(b"1,0,0,0,0,0\n"))
+        zpath = tmp_path / "z.csv"
+        zpath.write_text("0\n")
+        code = main(["--data", path, "--target", "covariance", "--C", str(cpath),
+                     "--zeta", str(zpath), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"covartest: error: data: ill-formed contrast file {cpath}: ")
+        assert err.count("\n") == 1
 
     def test_degenerate_estimates_exit_numerical(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
