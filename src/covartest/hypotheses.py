@@ -2,11 +2,15 @@
 
 Every hypothesis is a pair (C, zeta) acting on the stacked half-vectorized
 group parameters, optionally after a smooth coordinate transform: the null
-states C f(theta) = zeta.  Predefined multi-group equalities use centering
-matrices; all other equality patterns difference successive entries.
-Structural nulls (a single group) cover diagonal, spherical, compound
-symmetric, Toeplitz and first-order autoregressive shapes; the
-autoregressive ones are nonlinear and carry the transform with them.
+states C f(theta) = zeta.  Multi-group ``equal`` and ``equal-correlated``,
+and one-group ``equal-correlated``, use centering matrices.  Every other
+per-group row follows one rule over the lag of each half-vector entry, its
+column minus its row: the entries of a chosen set of lags (lag 0, every
+lag above 0, or each lag alone) are equated in succession, and the entries
+of another set are set to zero.  Structural nulls (a single group) cover
+diagonal, spherical, compound symmetric, Toeplitz and first-order
+autoregressive shapes; the autoregressive ones are nonlinear and carry the
+transform with them.
 
 The catalog is two tables keyed by target.  ``STRUCTURES`` maps each canonical
 structure name to its short alias, its smallest d (with the reason, where
@@ -27,9 +31,7 @@ from .linalg import (
     full_length,
     strict_length,
     vech,
-    vech_diag_positions,
-    vech_offdiag_positions,
-    vech_subdiagonal_positions,
+    vech_pairs,
 )
 
 COVARIANCE = "covariance"
@@ -103,10 +105,10 @@ class HypothesisSpec:
         return self.C.shape[0]
 
 
-def _selector_rows(q: int, positions: np.ndarray) -> np.ndarray:
-    C = np.zeros((len(positions), q))
-    C[np.arange(len(positions)), positions] = 1.0
-    return C
+def _lags(target: str, d: int) -> np.ndarray:
+    """Column minus row of each entry of one group's half-vector for the target."""
+    rows, cols = vech_pairs(d, strict=target == CORRELATION)
+    return cols - rows
 
 
 def _difference_rows(q: int, positions: np.ndarray) -> np.ndarray:
@@ -120,39 +122,43 @@ def _difference_rows(q: int, positions: np.ndarray) -> np.ndarray:
     return C
 
 
-def _equal_variance_rows(d: int, *below: np.ndarray) -> np.ndarray:
-    """Rows equating the variances of one covariance, stacked over ``below``."""
-    return np.vstack([_difference_rows(full_length(d), vech_diag_positions(d)), *below])
+def _rows(lags: np.ndarray, equal=(), zero=None) -> np.ndarray:
+    """One group's contrast rows over a half-vector with the given lags.
+
+    Each mask in ``equal`` adds rows equating its entries in succession;
+    then one row selects each entry where the mask ``zero`` holds.
+    """
+    q = len(lags)
+    blocks = [_difference_rows(q, np.flatnonzero(mask)) for mask in equal]
+    if zero is not None:
+        positions = np.flatnonzero(zero)
+        selector = np.zeros((len(positions), q))
+        selector[np.arange(len(positions)), positions] = 1.0
+        blocks.append(selector)
+    # a lone block is returned as built: copying the d = 40 selector
+    # costs more than building it
+    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
 
-def _offdiag_rows(target: str, d: int) -> np.ndarray:
-    """Rows of one group's "no off-diagonal entry" null for the target."""
-    if target == CORRELATION:
-        return np.eye(strict_length(d))
-    return _selector_rows(full_length(d), vech_offdiag_positions(d))
+def _uncorrelated_rows(lags: np.ndarray) -> np.ndarray:
+    return _rows(lags, zero=lags > 0)
 
 
-def _toeplitz_rows(d: int, strict: bool) -> np.ndarray:
-    """Equality of entries within every subdiagonal (and the diagonal if full)."""
-    q = strict_length(d) if strict else full_length(d)
-    blocks = []
-    if not strict:
-        blocks.append(_difference_rows(q, vech_diag_positions(d)))
-    for h in range(1, d):
-        blocks.append(_difference_rows(q, vech_subdiagonal_positions(d, h, strict=strict)))
-    return np.vstack(blocks)
+def _toeplitz_rows(lags: np.ndarray) -> np.ndarray:
+    """Equality of entries within every diagonal the half-vector holds."""
+    return _rows(lags, equal=[lags == h for h in np.unique(lags)])
 
 
-def _ratio_transform(d: int, strict: bool) -> TransformSpec:
+def _ratio_transform(lags: np.ndarray, d: int) -> TransformSpec:
     """Appends the consecutive subdiagonal-mean ratios to the half-vector.
 
     Means m_0, ..., m_{d-1} average the entries of each subdiagonal; for the
     strict (correlation) variant m_0 is the constant 1.  The appended
     coordinates are rho_h = m_h / m_{h-1} for h = 1, ..., d-1.
     """
-    q = strict_length(d) if strict else full_length(d)
-    first = int(strict)  # the strict m_0 == 1 involves no coordinates
-    groups = [vech_subdiagonal_positions(d, h, strict=strict) for h in range(first, d)]
+    q = len(lags)
+    first = int(lags.min())  # 1 for the strict half-vector: m_0 == 1 involves no coordinates
+    groups = [np.flatnonzero(lags == h) for h in range(first, d)]
     # row h of the averaging matrix is the gradient of m_h
     A = np.zeros((d, q))
     for h, g in enumerate(groups, start=first):
@@ -188,9 +194,9 @@ def _ratio_transform(d: int, strict: bool) -> TransformSpec:
 
 
 def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
-    strict = target == CORRELATION
-    q = strict_length(d) if strict else full_length(d)
-    lin = _toeplitz_rows(d, strict=strict)
+    lags = _lags(target, d)
+    q = len(lags)
+    lin = _toeplitz_rows(lags)
     ratio_diffs = _difference_rows(d - 1, np.arange(d - 1))
     # C acts on f(theta): the q coordinates followed by the d - 1 ratios
     C = np.zeros((lin.shape[0] + ratio_diffs.shape[0], q + d - 1))
@@ -203,31 +209,30 @@ def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
         label=label,
         a=1,
         d=d,
-        transform=_ratio_transform(d, strict=strict),
+        transform=_ratio_transform(lags, d),
     )
 
 
 _RATIOS = "fewer than two subdiagonal ratios leave nothing to compare"
 
 # canonical name -> (short alias, smallest d, reason printed with it,
-# contrast rows for d); rows None marks an autoregressive shape
+# contrast rows for the half-vector's lags); rows None marks an
+# autoregressive shape
 STRUCTURES = {
     COVARIANCE: {
         "autoregressive": ("ar", 3, _RATIOS, None),
         "fo-autoregressive": ("fo-ar", 3, _RATIOS, None),
-        "diagonal": ("diag", 2, "", lambda d: _offdiag_rows(COVARIANCE, d)),
-        "sphericity": ("spher", 2, "", lambda d: _equal_variance_rows(d, _offdiag_rows(COVARIANCE, d))),
-        "compoundsymmetry": ("cs", 2, "", lambda d: _equal_variance_rows(
-            d, _difference_rows(full_length(d), vech_offdiag_positions(d)))),
-        "toeplitz": ("toep", 2, "", lambda d: _toeplitz_rows(d, strict=False)),
+        "diagonal": ("diag", 2, "", _uncorrelated_rows),
+        "sphericity": ("spher", 2, "", lambda lags: _rows(lags, [lags == 0], zero=lags > 0)),
+        "compoundsymmetry": ("cs", 2, "", lambda lags: _rows(lags, [lags == 0, lags > 0])),
+        "toeplitz": ("toep", 2, "", _toeplitz_rows),
     },
     CORRELATION: {
         "hautoregressive": ("har", 3, _RATIOS, None),
-        "htoeplitz": ("htoep", 3, "subdiagonals of a 2x2 matrix hold one entry each",
-                      lambda d: _toeplitz_rows(d, strict=True)),
+        "htoeplitz": ("htoep", 3, "subdiagonals of a 2x2 matrix hold one entry each", _toeplitz_rows),
         "hcompoundsymmetry": ("hcs", 3, "a single correlation leaves nothing to compare",
-                              lambda d: _difference_rows(strict_length(d), np.arange(strict_length(d)))),
-        "diagonal": ("diag", 2, "", lambda d: _offdiag_rows(CORRELATION, d)),
+                              lambda lags: _rows(lags, [lags > 0])),
+        "diagonal": ("diag", 2, "", _uncorrelated_rows),
     },
 }
 
@@ -256,7 +261,7 @@ def structure_hypothesis(name: str, target: str, d: int) -> HypothesisSpec:
         )
     if rows is None:
         return _autoregressive_spec(target, d, canonical)
-    C = rows(d)
+    C = rows(_lags(target, d))
     return HypothesisSpec(
         target=target, C=C, zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
     )
@@ -297,7 +302,8 @@ def predefined_hypothesis(
     elif name == "equal":
         if d < 2:
             raise ValueError("hypothesis 'equal' with one group needs d >= 2")
-        C = _equal_variance_rows(d)
+        lags = _lags(target, d)
+        C = _rows(lags, [lags == 0])
     elif name == "equal-correlated":
         if q < 2:
             raise ValueError(
@@ -308,14 +314,15 @@ def predefined_hypothesis(
     elif name == "uncorrelated":
         if d < 2:
             raise ValueError("hypothesis 'uncorrelated' needs d >= 2")
-        C = _offdiag_rows(target, d)
+        C = _uncorrelated_rows(_lags(target, d))
     elif name == "given-trace":
         if extra is None:
             raise ValueError("hypothesis 'given-trace' needs the target trace")
         gamma = float(extra)
         if not np.isfinite(gamma) or gamma <= 0.0:
             raise ValueError(f"the target trace must be positive, got {extra!r}")
-        C = _selector_rows(q, vech_diag_positions(d)).sum(axis=0, keepdims=True)
+        lags = _lags(target, d)
+        C = _rows(lags, zero=lags == 0).sum(axis=0, keepdims=True)
         zeta = np.array([gamma])
     elif name == "given-matrix":
         if extra is None:
@@ -328,7 +335,8 @@ def predefined_hypothesis(
     else:  # equal-trace, equal-diagonals
         # group i minus group i + 1 on the diagonal entries, or on
         # their sum for the trace
-        diag_rows = _selector_rows(q, vech_diag_positions(d))
+        lags = _lags(target, d)
+        diag_rows = _rows(lags, zero=lags == 0)
         if name == "equal-trace":
             diag_rows = diag_rows.sum(axis=0, keepdims=True)
         C = np.kron(_difference_rows(a, np.arange(a)), diag_rows)

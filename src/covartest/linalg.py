@@ -26,6 +26,8 @@ def _check_square_symmetric(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"matrix must be square, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("matrix entries must be finite, got NaN or inf")
     scale = np.max(np.abs(S)) if S.size else 0.0
     if not np.allclose(S, S.T, rtol=1e-9, atol=1e-12 * max(scale, 1.0)):
         raise ValueError("matrix is not symmetric")
@@ -60,22 +62,6 @@ def vech_diag_positions(d: int) -> np.ndarray:
     """Positions of the diagonal entries inside the full half-vector."""
     rows, cols = np.triu_indices(d)
     return np.flatnonzero(rows == cols)
-
-
-def vech_offdiag_positions(d: int) -> np.ndarray:
-    """Positions of the off-diagonal entries inside the full half-vector."""
-    rows, cols = np.triu_indices(d)
-    return np.flatnonzero(rows < cols)
-
-
-def vech_subdiagonal_positions(d: int, offset: int, strict: bool = False) -> np.ndarray:
-    """Half-vector positions with column minus row equal to ``offset``."""
-    if not 0 <= offset <= d - 1:
-        raise ValueError(f"offset must lie in [0, {d - 1}], got {offset}")
-    if strict and offset == 0:
-        raise ValueError("strict half-vectors have no diagonal entries")
-    rows, cols = vech_pairs(d, strict=strict)
-    return np.flatnonzero(cols - rows == offset)
 
 
 def centering_matrix(n: int) -> np.ndarray:

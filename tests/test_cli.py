@@ -358,10 +358,16 @@ def csv_files(draw):
         names.insert(draw(st.integers(0, d)), "g")
     header = ",".join(f'"{n}"' if draw(st.integers(0, 9)) == 0 else n for n in names)
     lines = [header]
-    for _ in range(draw(st.integers(0, 8))):
-        row = [draw(st.sampled_from(LABELS)) if n == "g" else draw(st.sampled_from(NUMBERS))
+    n_rows = draw(st.integers(0, 8))
+    # rows draw faults only in a faulty file; there each row draws one of
+    # 13 codes, 0-3 a fault, and three of those fail the whole file
+    faulty = draw(st.integers(0, 2)) == 2
+    # a few labels per file, so that most groups get the two rows they need
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3))
+    for _ in range(n_rows):
+        row = [draw(st.sampled_from(labels)) if n == "g" else draw(st.sampled_from(NUMBERS))
                for n in names]
-        fault = draw(st.integers(0, 12))
+        fault = draw(st.integers(0, 12)) if faulty else None
         if fault == 0:
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
         elif fault == 1:
@@ -933,6 +939,16 @@ class TestExitCodes:
         assert proc.stderr.startswith("covartest: error: config: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_target_matrix_is_one_config_line(self, tmp_path, bad):
+        path = one_group_file(tmp_path)
+        mpath = tmp_path / "V.csv"
+        mpath.write_text(f"{bad},0,0\n0,1,0\n0,0,1\n")
+        proc = run_cli("--data", path, "--target", "covariance", "--hypothesis",
+                       "given-matrix", "--matrix", str(mpath), "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "covartest: error: config: matrix entries must be finite, got NaN or inf\n"
 
     @pytest.mark.parametrize("kind, message", [
         ("C", "C needs at least one row"),

@@ -217,6 +217,67 @@ CONFORMING = {
     ("hautoregressive", CORRELATION): ar_matrix(4, sigma2=1.0, rho=0.55),
 }
 
+# every non-autoregressive structure's rows at d = 3, and the
+# autoregressive ones at d = 4, written out.  Columns follow the
+# half-vector: (1,1), (1,2), (1,3), (2,2), (2,3), (3,3) for the covariance
+# and (1,2), (1,3), (2,3) for the correlation at d = 3; at d = 4 the
+# autoregressive C has the 10 (or 6) half-vector columns, then the three
+# subdiagonal-mean ratios
+EXACT_ROWS = {
+    ("diagonal", COVARIANCE, 3): [
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+    ],
+    ("sphericity", COVARIANCE, 3): [
+        [1, 0, 0, -1, 0, 0],
+        [0, 0, 0, 1, 0, -1],
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+    ],
+    ("compoundsymmetry", COVARIANCE, 3): [
+        [1, 0, 0, -1, 0, 0],
+        [0, 0, 0, 1, 0, -1],
+        [0, 1, -1, 0, 0, 0],
+        [0, 0, 1, 0, -1, 0],
+    ],
+    ("toeplitz", COVARIANCE, 3): [
+        [1, 0, 0, -1, 0, 0],
+        [0, 0, 0, 1, 0, -1],
+        [0, 1, 0, 0, -1, 0],
+    ],
+    ("diagonal", CORRELATION, 3): [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ],
+    ("hcompoundsymmetry", CORRELATION, 3): [
+        [1, -1, 0],
+        [0, 1, -1],
+    ],
+    ("htoeplitz", CORRELATION, 3): [
+        [1, 0, -1],
+    ],
+    ("autoregressive", COVARIANCE, 4): [
+        [1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0, 0],
+        [0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1],
+    ],
+    ("hautoregressive", CORRELATION, 4): [
+        [1, 0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, -1, 0, 0, 0],
+        [0, 1, 0, 0, -1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, -1],
+    ],
+}
+
 
 class TestStructures:
     @pytest.mark.parametrize("name,target", sorted(CONFORMING, key=str))
@@ -273,6 +334,20 @@ class TestStructures:
         assert structure_hypothesis("diagonal", COVARIANCE, 6).C.shape == (15, 21)
         assert structure_hypothesis("compoundsymmetry", COVARIANCE, 3).C.shape == (4, 6)
         assert structure_hypothesis("htoeplitz", CORRELATION, 4).C.shape == (3, 6)
+
+    @pytest.mark.parametrize("name,target,d", sorted(EXACT_ROWS, key=str))
+    def test_exact_rows(self, name, target, d):
+        spec = structure_hypothesis(name, target, d)
+        assert spec.C.dtype == float
+        assert_array_equal(spec.C, np.array(EXACT_ROWS[(name, target, d)], dtype=float))
+        assert_array_equal(spec.zeta, np.zeros(spec.m))
+
+    @pytest.mark.parametrize("target", [COVARIANCE, CORRELATION])
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_uncorrelated_is_the_diagonal_structure(self, target, d):
+        a = predefined_hypothesis("uncorrelated", target, 1, d).C
+        b = structure_hypothesis("diagonal", target, d).C
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 class TestRatioTransform:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,12 +12,11 @@ from covartest.linalg import (
     strict_length,
     vech,
     vech_diag_positions,
-    vech_offdiag_positions,
     vech_pairs,
     vech_strict,
-    vech_subdiagonal_positions,
 )
 from covartest.engine import _gram_spectrum
+from covartest.hypotheses import COVARIANCE, CORRELATION, _lags
 from conftest import make_spd
 from reference_loops import psd_factor, unvech
 
@@ -73,6 +74,17 @@ class TestVech:
         with pytest.raises(ValueError):
             vech(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("half", [vech, vech_strict])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_without_warning(self, half, bad, where):
+        S = np.eye(3)
+        S[where] = S[where[::-1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                half(S)
+
     @pytest.mark.parametrize("d", range(1, 8))
     def test_order_matches_rowmajor_scan(self, rng, d):
         S = symmetric(rng, d)
@@ -105,23 +117,23 @@ class TestPositionHelpers:
         diag = [t for t, (j, k) in enumerate(pairs) if j == k]
         off = [t for t, (j, k) in enumerate(pairs) if j != k]
         assert list(vech_diag_positions(d)) == diag
-        assert list(vech_offdiag_positions(d)) == off
+        assert list(np.flatnonzero(_lags(COVARIANCE, d) > 0)) == off
         assert sorted(diag + off) == list(range(full_length(d)))
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_subdiagonal_positions(self, d):
-        strict = naive_pairs(d, strict=True)
-        full = naive_pairs(d, strict=False)
-        for h in range(1, d):
-            expect = [t for t, (j, k) in enumerate(strict) if k - j == h]
-            assert list(vech_subdiagonal_positions(d, h, strict=True)) == expect
-            expect = [t for t, (j, k) in enumerate(full) if k - j == h]
-            assert list(vech_subdiagonal_positions(d, h)) == expect
-        assert_array_equal(vech_subdiagonal_positions(d, 0), vech_diag_positions(d))
-        with pytest.raises(ValueError):
-            vech_subdiagonal_positions(d, 0, strict=True)
-        with pytest.raises(ValueError):
-            vech_subdiagonal_positions(d, d)
+        # the contrasts find each subdiagonal through the lags, column
+        # minus row, of the full (covariance) and strict (correlation)
+        # half-vectors
+        for target, strict in ((COVARIANCE, False), (CORRELATION, True)):
+            pairs = naive_pairs(d, strict=strict)
+            lags = _lags(target, d)
+            assert len(lags) == len(pairs)
+            for h in range(d):
+                expect = [t for t, (j, k) in enumerate(pairs) if k - j == h]
+                assert list(np.flatnonzero(lags == h)) == expect
+        assert_array_equal(np.flatnonzero(_lags(COVARIANCE, d) == 0), vech_diag_positions(d))
+        assert _lags(CORRELATION, d).min() == 1
 
     def test_lengths(self):
         assert [full_length(d) for d in range(1, 6)] == [1, 3, 6, 10, 15]
