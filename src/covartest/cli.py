@@ -162,9 +162,9 @@ def ingest(
     """Read a CSV of observations into a grouped sample.
 
     Rows are observations, numeric columns are variables.  Groups come from
-    the named categorical column (in first-appearance order of its labels)
-    or from explicit sizes partitioning the rows in order; with neither,
-    all rows form a single group.
+    labels, sizes or one group, each turned into sizes: the named column
+    gives a group per label, in first-appearance order; explicit sizes
+    partition the rows in order; with neither, all rows form one group.
 
     The file is opened once and its header parsed once.  One structured
     ``np.loadtxt`` pass reads the rows below it.  It declines for one
@@ -205,19 +205,19 @@ def ingest(
     if not len(data):
         raise DataError(f"{path} contains no observations")
     if labels is not None:
-        groups = _split_by_label(data, labels)
-    elif group_sizes is not None:
-        if sum(group_sizes) != len(data):
-            raise DataError(
-                f"--group-sizes adds up to {sum(group_sizes)} "
-                f"but {path} has {len(data)} observations"
-            )
-        edges = np.cumsum((0,) + group_sizes)
-        groups = [data[lo:hi].T for lo, hi in zip(edges[:-1], edges[1:])]
-    else:
-        groups = [data.T]
+        # number the stripped labels by first appearance; a stable sort groups the rows
+        ids: dict[str, int] = {}
+        group = np.array([ids.setdefault(lab.strip(), len(ids)) for lab in labels])
+        data = data[np.argsort(group, kind="stable")]
+        group_sizes = np.bincount(group)
+    elif group_sizes is None:
+        group_sizes = (len(data),)
+    elif sum(group_sizes) != len(data):
+        raise DataError(f"--group-sizes adds up to {sum(group_sizes)} "
+                        f"but {path} has {len(data)} observations")
+    groups = np.split(data, np.cumsum(group_sizes)[:-1])
     try:
-        return GroupedSample(tuple(groups))
+        return GroupedSample(tuple(g.T for g in groups))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -268,24 +268,6 @@ def _scan_rows(fh, header: list[str], gidx: int | None) -> tuple:
         if gidx is not None:
             labels.append(row[gidx].strip())
     return np.asarray(values, dtype=float), None if gidx is None else labels
-
-
-def _split_by_label(data: np.ndarray, labels) -> list[np.ndarray]:
-    """The rows of data as one d x n_i group per label, in order of first
-    appearance.  Labels equal up to surrounding whitespace share a group;
-    only the distinct raw labels are stripped."""
-    raw, first, inverse = np.unique(
-        np.asarray(labels, dtype=object), return_index=True, return_inverse=True
-    )
-    # number the stripped labels in the order their first rows appear
-    ids: dict[str, int] = {}
-    by_first = np.argsort(first)
-    key = np.empty(len(raw), dtype=np.intp)
-    key[by_first] = [ids.setdefault(lab.strip(), len(ids)) for lab in raw[by_first]]
-    group = key[inverse]
-    rows = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group))[:-1]
-    return [data[idx].T for idx in np.split(rows, bounds)]
 
 
 def write_csv(sample: GroupedSample, path: str, group_column: str | None = None) -> None:

@@ -129,8 +129,6 @@ def calibrate_beta(
     bound = alpha * B
     # the rejection rate grows with k, so the feasible set is an interval
     lo, hi = 0, B - 1
-    if _outside_counts(srt, draws, hi) <= bound:
-        return hi / B
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if _outside_counts(srt, draws, mid) <= bound:

@@ -153,6 +153,11 @@ class MomentEstimates:
         return out
 
 
+def _check_in_range(M: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"the data's magnitude is out of floating-point range: its {what} overflows")
+
+
 def _group_estimates(X: np.ndarray, correlation: bool):
     """(vhat, F, rhat, U) of one group, from one centring of X and one V.
 
@@ -160,13 +165,15 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     (F @ F.T = Sigma): the recentred outer products over sqrt(n - 1) when
     n <= p, else the eigenvectors of the p x p estimate times the roots of
     their positive eigenvalues.  U = M F is the correlation-scale factor.
-    rhat and U are None without ``correlation``.
+    rhat and U are None without ``correlation``.  Data so large that V or
+    the p x p estimate overflows raise ValueError.
     """
     d, n = X.shape
     Xc = X - X.mean(axis=1, keepdims=True)
     # a product with its own transpose runs as a symmetric rank-k update,
     # so V (and every F @ F.T downstream) is exactly symmetric
     V = Xc @ Xc.T / (n - 1)
+    _check_in_range(V, "covariance")
     vhat = vech(V)
     rows, cols = vech_pairs(d)
     W = Xc[rows] * Xc[cols]
@@ -174,7 +181,9 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     if n <= len(rows):
         F = W / np.sqrt(n - 1)
     else:
-        w, Q = np.linalg.eigh(W @ W.T / (n - 1))
+        G = W @ W.T / (n - 1)
+        _check_in_range(G, "fourth-moment covariance")
+        w, Q = np.linalg.eigh(G)
         keep = w > 0.0
         F = Q[:, keep] * np.sqrt(w[keep])
     if not correlation:

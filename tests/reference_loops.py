@@ -19,16 +19,17 @@ combined test, and the dense delta-method Jacobian ``correlation_jacobian``
 with the ``unvech`` it reads.  The package forms the correlation-scale
 factors M_i F_i from the three nonzeros of each row of M_i; the TAY and
 combined loops here build the dense M_i from the covariance half-vector
-instead.
+instead.  The band helpers are written from the definition of the lower
+quantile and share no code with ``covartest.combined``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from covartest.combined import _band_indices, _outside_counts
 from covartest.engine import (
     _check_compatible,
     _check_repetitions,
@@ -304,13 +305,17 @@ def correlation_jacobian(v) -> np.ndarray:
 
 
 def reference_bands(draws: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise order-statistic band [q_{beta/2}, q_{1-beta/2}]."""
+    """Componentwise order-statistic band [q_{beta/2}, q_{1-beta/2}].
+
+    q_t is the lower inverse-CDF quantile of the B draws: the sorted draw
+    at index floor((B - 1) t), numpy's method="lower", with t taken as an
+    exact fraction so that no grid level rounds across an index.
+    """
     draws = np.asarray(draws, dtype=float)
     B = draws.shape[0]
-    k = _beta_to_grid(B, beta)
-    lo, hi = _band_indices(B, k)
+    half = Fraction(_beta_to_grid(B, beta), 2 * B)  # beta / 2
     srt = np.sort(draws, axis=0)
-    return srt[lo], srt[hi]
+    return srt[math.floor((B - 1) * half)], srt[math.floor((B - 1) * (1 - half))]
 
 
 def _beta_to_grid(B: int, beta: float) -> int:
@@ -327,6 +332,5 @@ def calibration_rejection_rate(draws: np.ndarray, beta: float) -> float:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be a B x P array")
-    B = draws.shape[0]
-    srt = np.sort(draws, axis=0)
-    return _outside_counts(srt, draws, _beta_to_grid(B, beta)) / B
+    lo, hi = reference_bands(draws, beta)
+    return int(np.any((draws < lo) | (draws > hi), axis=1).sum()) / draws.shape[0]

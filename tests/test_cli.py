@@ -85,15 +85,22 @@ def rows_read(path, group_column=None, structured=True):
 
 
 def scanner_ingest(path, group_column=None):
-    """``ingest`` as the row scanner alone gives it, grouped by a dict of
-    row lists: the groups, or the text of its DataError."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_structured", refuse)
-        mp.setattr(cli, "_split_by_label", split_by_dict)
-        try:
-            return list(ingest(path, group_column=group_column).groups)
-        except DataError as exc:
-            return str(exc)
+    """The row scanner's rows, grouped by a dict of row lists into a sample
+    built here: its groups, or the text of the error that reading the rows
+    or building the sample gives."""
+    rows = rows_read(path, group_column, structured=False)
+    if rows is None or not len(rows[0]):  # a fault of the file itself
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_read_structured", refuse)
+            with pytest.raises(DataError) as exc:
+                ingest(path, group_column=group_column)
+        return str(exc.value)
+    data, labels = rows
+    try:
+        groups = [data.T] if labels is None else split_by_dict(data, labels)
+        return list(GroupedSample(tuple(groups)).groups)
+    except ValueError as exc:
+        return str(exc)
 
 
 def assert_same_groups(got, expect):
@@ -403,7 +410,6 @@ class TestIngestMatchesScanner:
                 assert rows[1] is None
             else:
                 assert [lab.strip() for lab in rows[1]] == labels
-                assert_same_groups(cli._split_by_label(*rows), split_by_dict(data, labels))
         assert_ingest_as_scanner(path, group_column)
 
 
@@ -485,6 +491,23 @@ class TestRuns:
         H = np.array(payload["statistic_covariance"])
         assert H.shape == (12, 12)
         assert_allclose(H, H.T, atol=0)
+
+    @pytest.mark.parametrize("target", [
+        ["--target", "covariance", "--hypothesis", "equal", "--output", "json"],
+        ["--target", "combined", "--output", "json"],
+        ["--target", "correlation", "--hypothesis", "equal-correlated", "--output", "text"],
+    ])
+    def test_group_sizes_report_as_group_column(self, tmp_path, capsys, target):
+        # the same groups in the same order, once labelled and once sized
+        rng = np.random.default_rng(4)
+        groups = [rng.standard_normal((3, n)) for n in (30, 40)]
+        labelled = data_csv(tmp_path, groups)
+        plain = data_csv(tmp_path, groups, name="plain.csv", group_column=None)
+        common = [*target, "--repetitions", "600", "--seed", "2"]
+        assert main(["--data", labelled, "--group-column", "g", *common]) == 0
+        expect = capsys.readouterr().out
+        assert main(["--data", plain, "--group-sizes", "30,40", *common]) == 0
+        assert capsys.readouterr().out == expect
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         path = two_group_file(tmp_path)
@@ -690,6 +713,46 @@ class TestExitCodes:
                         "--hypothesis", "equal")
         self.assert_config_error(capsys, argv, "mutually exclusive")
 
+    @pytest.mark.parametrize("sizes, fragment", [
+        ("30,x", "comma-separated integers, got '30,x'"),
+        ("30,0", "must be positive, got '30,0'"),
+    ])
+    def test_bad_group_sizes(self, tmp_path, capsys, sizes, fragment):
+        path = one_group_file(tmp_path, n=70)
+        argv = ["--data", path, "--group-sizes", sizes, "--target", "covariance",
+                "--hypothesis", "equal"]
+        self.assert_config_error(capsys, argv, fragment)
+
+    def test_group_sizes_must_add_up(self, tmp_path, capsys):
+        path = one_group_file(tmp_path, n=70)
+        code = main(["--data", path, "--group-sizes", "30,35", "--target", "covariance",
+                     "--hypothesis", "equal", "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"covartest: error: data: --group-sizes adds up to 65 but {path} has 70 observations\n"
+        )
+
+    def test_contrast_needs_zeta(self, tmp_path, capsys):
+        argv = self.cfg(tmp_path, "--target", "covariance", "--C", "C.csv")
+        self.assert_config_error(capsys, argv, "custom hypotheses need both --C and --zeta")
+
+    def test_structure_target_rejects_hypothesis(self, tmp_path, capsys):
+        argv = self.cfg(tmp_path, "--target", "covariance-structure", "--structure", "cs",
+                        "--hypothesis", "equal")
+        self.assert_config_error(capsys, argv, "structure targets take --structure")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        argv = self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "equal",
+                        "--seed", "-1")
+        self.assert_config_error(capsys, argv, "--seed must be non-negative, got -1")
+
+    def test_structure_target_needs_one_group(self, tmp_path, capsys):
+        argv = self.cfg(tmp_path, "--target", "covariance-structure", "--structure", "cs",
+                        "--seed", "1")
+        self.assert_config_error(
+            capsys, argv, "structure hypotheses are defined for a single group, got 2"
+        )
+
     def test_taylor_on_covariance(self, tmp_path, capsys):
         argv = self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "equal",
                         "--method", "TAY")
@@ -783,6 +846,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("covartest: error: data: ")
+
+    def test_group_column_alone_has_no_numeric_columns(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("g\na\na\nb\nb\n")
+        code = main(["--data", str(path), "--group-column", "g", "--target",
+                     "covariance", "--hypothesis", "equal", "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"covartest: error: data: {path} has no numeric columns besides the group column\n"
+        )
+
+    def test_missing_contrast_file(self, tmp_path, capsys):
+        path = one_group_file(tmp_path)
+        zpath = tmp_path / "z.csv"
+        zpath.write_text("0\n")
+        cpath = tmp_path / "gone.csv"
+        code = main(["--data", path, "--target", "covariance", "--C", str(cpath),
+                     "--zeta", str(zpath), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"covartest: error: data: cannot open contrast file {cpath}: ")
+        assert err.count("\n") == 1
 
     def test_bad_cell_reports_location(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

@@ -171,12 +171,27 @@ class TestCalibration:
     def test_defining_inequalities_hold_exactly(self, rng):
         est = pool_estimates(two_groups(rng))
         draws = simulate_reference(est, B=2000, seed=9)
-        alpha = 0.05
-        beta = calibrate_beta(draws, alpha)
-        assert calibration_rejection_rate(draws, beta) <= alpha
-        bumped = beta + 1.0 / 2000
-        if bumped * 2000 <= 1999:
-            assert calibration_rejection_rate(draws, bumped) > alpha
+        for alpha in (0.01, 0.02, 0.05, 0.10, 0.25):
+            beta = calibrate_beta(draws, alpha)
+            assert calibration_rejection_rate(draws, beta) <= alpha
+            bumped = beta + 1.0 / 2000
+            if bumped * 2000 <= 1999:
+                assert calibration_rejection_rate(draws, bumped) > alpha
+
+    def test_largest_grid_level_within_alpha(self, rng):
+        # brute force over every grid level k/B, tied and continuous draws
+        for B in range(1, 12):
+            for P in range(1, 4):
+                for ties in (True, False):
+                    for _ in range(5):
+                        if ties:
+                            draws = rng.integers(-2, 3, size=(B, P)).astype(float)
+                        else:
+                            draws = rng.standard_normal((B, P))
+                        rates = [calibration_rejection_rate(draws, k / B) for k in range(B)]
+                        for alpha in (0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
+                            k = max(k for k, rate in enumerate(rates) if rate <= alpha)
+                            assert calibrate_beta(draws, alpha) == k / B, (draws, alpha)
 
     def test_monotone_in_alpha(self, rng):
         draws = rng.standard_normal((4000, 4))
@@ -251,7 +266,11 @@ class TestCombinedTest:
         draws = simulate_reference(est, B=B, seed=seed)
         T = combined_statistic(est)
         d = est.d
-        for alpha in (0.01, 0.02, 0.05, 0.10, 0.25):
+        # the grid levels, and each block p-value and the level just below
+        # it, where the decision flips
+        p_blocks = (rep.p_variances, rep.p_correlations)
+        flips = [a for p in p_blocks for a in (p, np.nextafter(p, 0.0)) if a < 1.0]
+        for alpha in (0.01, 0.02, 0.05, 0.10, 0.25, *flips):
             beta = calibrate_beta(draws, alpha)
             lo, hi = reference_bands(draws, beta)
             var_reject = bool(np.any((T[:d] < lo[:d]) | (T[:d] > hi[:d])))

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from covartest.combined import simulate_reference
+from covartest.combined import combined_test, simulate_reference
 from covartest.engine import run_test
 from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
-from covartest.hypotheses import CORRELATION, predefined_hypothesis
+from covartest.hypotheses import CORRELATION, COVARIANCE, predefined_hypothesis
 from covartest.linalg import full_length, strict_length, vech, vech_strict
 from conftest import gaussian_sample, make_spd
 from reference_loops import (
@@ -387,3 +387,21 @@ class TestPooling:
                 run_test(sample, spec, method=method, repetitions=500, seed=1, est=partial)
         with pytest.raises(ValueError, match="lack correlation"):
             simulate_reference(partial, B=500, seed=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale, what", [
+        (1e100, "fourth-moment covariance"),  # W @ W.T overflows before eigh
+        (1e155, "covariance"),  # V itself overflows
+    ])
+    def test_out_of_range_magnitudes_name_the_cause(self, scale, what):
+        rng = np.random.default_rng(3)
+        sample = GroupedSample(tuple(scale * rng.standard_normal((3, n)) for n in (30, 35)))
+        message = f"the data's magnitude is out of floating-point range: its {what} overflows"
+        for target, name in ((COVARIANCE, "equal"), (CORRELATION, "equal-correlated")):
+            spec = predefined_hypothesis(name, target, 2, 3)
+            with pytest.raises(ValueError) as exc:
+                run_test(sample, spec, repetitions=500, seed=1)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            combined_test(sample, repetitions=500, seed=1)
+        assert str(exc.value) == message
