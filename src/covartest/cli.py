@@ -2,8 +2,8 @@
 
 Input files hold one observation per row under a header line; all columns
 except an optional categorical group column must be numeric.  Exit codes
-separate the failure stages: 2 for configuration errors, 3 for data
-errors, 4 for numerical failures during the test itself.
+separate the failure stages, and only ``main`` maps them: 2 for
+configuration errors, 3 for data errors, 4 for numerical failures.
 """
 
 from __future__ import annotations
@@ -77,7 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+
+    def error(message: str):  # argparse's own errors end in main, as one config line
+        raise ConfigError(message)
+
+    parser.error = error
     return parser
 
 
@@ -141,8 +145,6 @@ def _validate_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"--repetitions must be positive, got {args.repetitions}")
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be positive, got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     # the parametrized nulls exist for the covariance target only; elsewhere
@@ -358,31 +360,28 @@ def _hypothesis(args: argparse.Namespace, sample: GroupedSample) -> HypothesisSp
 def run(args: argparse.Namespace) -> int:
     """Execute validated flags and print the rendered report.
 
-    Overflow, division by zero and invalid operations raise, so that data
-    out of floating-point range ends in one numerical error line; so do
-    more repetitions than memory can hold.
+    Overflow, division by zero and invalid operations raise, so that
+    ``main`` reports data out of floating-point range in one numerical
+    line, as it does more repetitions than memory can hold.
     """
     sample = ingest(args.data, args.group_column, args.group_sizes)
     spec = _hypothesis(args, sample)
-    try:
-        if spec is None:
-            report = combined_test(
-                sample, repetitions=args.repetitions, seed=args.seed, alpha=args.alpha
-            )
-        else:
-            est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
-            report = run_test(
-                sample,
-                spec,
-                method=args.method,
-                repetitions=args.repetitions,
-                seed=args.seed,
-                alpha=args.alpha,
-                est=est,
-            )
-            H = statistic_covariance(spec, est).tolist() if args.output == "json" else None
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
-        raise _Numerical(str(exc)) from exc
+    if spec is None:
+        report = combined_test(
+            sample, repetitions=args.repetitions, seed=args.seed, alpha=args.alpha
+        )
+    else:
+        est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
+        report = run_test(
+            sample,
+            spec,
+            method=args.method,
+            repetitions=args.repetitions,
+            seed=args.seed,
+            alpha=args.alpha,
+            est=est,
+        )
+        H = statistic_covariance(spec, est).tolist() if args.output == "json" else None
 
     title = _TITLES[args.target]
     B = report.repetitions
@@ -434,10 +433,6 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Numerical(Exception):
-    pass
-
-
 def _fail(category: str, message: str, code: int) -> int:
     flat = " ".join(str(message).split())
     print(f"covartest: error: {category}: {flat}", file=sys.stderr)
@@ -449,17 +444,16 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # library warnings print as one line in the CLI's own format
         warnings.showwarning = _show_warning
         try:
-            return run(_validate_config(args))
+            return run(_validate_config(build_parser().parse_args(argv)))
         except ConfigError as exc:
             return _fail("config", str(exc), EXIT_CONFIG)
         except DataError as exc:
             return _fail("data", str(exc), EXIT_DATA)
-        except _Numerical as exc:
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
             return _fail("numerical", str(exc), EXIT_NUMERICAL)
 
 

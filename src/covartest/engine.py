@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import GroupedSample, MomentEstimates, pool_estimates
+from .estimation import GroupedSample, MomentEstimates, _check_in_range, pool_estimates
 from .hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
 
 _METHODS = ("MC", "BT", "TAY")
@@ -118,6 +118,7 @@ def _resolve(spec: HypothesisSpec, theta: np.ndarray):
 
 
 def _check_trace(tr: float, E: np.ndarray, theta: np.ndarray) -> None:
+    _check_in_range(tr, "statistic covariance")
     # an analytically zero estimator covariance leaves rounding residue of
     # order eps^2 relative to (|E| |theta|)^2, so the cutoff is relative,
     # not exact; genuine traces sit many orders of magnitude above it

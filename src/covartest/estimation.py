@@ -82,13 +82,16 @@ def _jacobian_terms(var: np.ndarray, r: np.ndarray):
     (j, j) and -r_jk/(2 v_kk) at (k, k), and no other nonzero (Neudecker
     and Wesselman 1990).  Each pair holds, for every row in strict order,
     the full half-vector column of one of these entries and its value.
+    A product v_jj v_kk out of floating-point range raises ValueError.
     """
     rows, cols = vech_pairs(len(var))
     off = rows < cols
     j, k = rows[off], cols[off]
     diag = np.flatnonzero(~off)
+    products = var[j] * var[k]
+    _check_in_range(products, "product of variances", positive=True)
     return (
-        (np.flatnonzero(off), 1.0 / np.sqrt(var[j] * var[k])),
+        (np.flatnonzero(off), 1.0 / np.sqrt(products)),
         (diag[j], -r / (2.0 * var[j])),
         (diag[k], -r / (2.0 * var[k])),
     )
@@ -153,9 +156,11 @@ class MomentEstimates:
         return out
 
 
-def _check_in_range(M: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"the data's magnitude is out of floating-point range: its {what} overflows")
+def _check_in_range(M, what: str, positive: bool = False) -> None:
+    """Raise ValueError if M overflowed or, where it must be ``positive``, underflowed."""
+    for bad, way in ((~np.isfinite(M), "overflows"), (positive & (M <= 0.0), "underflows")):
+        if np.any(bad):
+            raise ValueError(f"the data's magnitude is out of floating-point range: its {what} {way}")
 
 
 def _group_estimates(X: np.ndarray, correlation: bool):

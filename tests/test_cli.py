@@ -509,19 +509,6 @@ class TestRuns:
         assert main(["--data", plain, "--group-sizes", "30,40", *common]) == 0
         assert capsys.readouterr().out == expect
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        path = two_group_file(tmp_path)
-        base = [
-            "--data", path, "--group-column", "g", "--target", "covariance",
-            "--hypothesis", "equal", "--method", "BT", "--repetitions", "600",
-            "--seed", "11", "--output", "json",
-        ]
-        assert main(base) == 0
-        one = capsys.readouterr().out
-        assert main(base + ["--threads", "4"]) == 0
-        four = capsys.readouterr().out
-        assert one == four
-
     def test_custom_contrast_matches_predefined(self, tmp_path, capsys):
         path = two_group_file(tmp_path)
         from covartest.linalg import centering_matrix
@@ -662,7 +649,7 @@ class TestRuns:
                 "--repetitions", "600", "--seed", "8", "--output", "json"]
         assert main(argv) == 0
         a = capsys.readouterr().out
-        assert main(argv + ["--threads", "3"]) == 0
+        assert main(argv) == 0
         b = capsys.readouterr().out
         assert a == b
 
@@ -696,17 +683,23 @@ class TestExitCodes:
         assert fragment in err
         assert err.count("\n") == 1
 
-    def test_missing_required_flags(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--target", "covariance"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("flags, fragment", [
+        ([], "the following arguments are required: --data"),
+        (["--method", "jackknife"], "argument --method: invalid choice: 'jackknife'"),
+        (["--repetitions", "x"], "argument --repetitions: invalid int value: 'x'"),
+        (["--threads", "4"], "unrecognized arguments: --threads 4"),
+    ], ids=["no-data", "method", "repetitions", "threads"])
+    def test_flag_syntax_errors_are_one_config_line(self, tmp_path, capsys, flags, fragment):
+        # argparse's own errors end in main, as one line without its usage block
+        data = ["--data", two_group_file(tmp_path)] if flags else []
+        argv = [*data, "--target", "covariance", "--hypothesis", "equal", *flags]
+        self.assert_config_error(capsys, argv, fragment)
 
-    def test_unknown_method_choice(self, tmp_path, capsys):
-        path = two_group_file(tmp_path)
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--data", path, "--target", "covariance", "--hypothesis", "equal",
-                  "--method", "jackknife"])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: covartest")
 
     def test_both_group_selectors(self, tmp_path, capsys):
         argv = self.cfg(tmp_path, "--group-sizes", "30,35", "--target", "covariance",
@@ -814,11 +807,6 @@ class TestExitCodes:
         argv = self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "equal",
                         "--alpha", "1.5")
         self.assert_config_error(capsys, argv, "alpha")
-
-    def test_bad_threads(self, tmp_path, capsys):
-        argv = self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "equal",
-                        "--threads", "0")
-        self.assert_config_error(capsys, argv, "threads")
 
     def test_unknown_hypothesis_name(self, tmp_path, capsys):
         argv = self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "sphericity")
@@ -965,6 +953,21 @@ class TestExitCodes:
             "covartest: error: numerical: subdiagonal-mean ratio undefined: "
             "a leading subdiagonal mean vanishes\n"
         )
+
+    def test_allocation_failure_outside_the_test_exits_numerical(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a contrast too large for memory (d = 4000, three groups, asks for
+        # 466 TiB) fails in the hypothesis build, before the test runs
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 466. TiB for an array")
+
+        monkeypatch.setattr(cli, "predefined_hypothesis", unallocatable)
+        code = main(self.cfg(tmp_path, "--target", "covariance", "--hypothesis", "equal"))
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "covartest: error: numerical: Unable to allocate 466. TiB for an array\n"
 
     def test_constant_variable_with_correlation_target(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

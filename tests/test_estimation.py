@@ -389,19 +389,42 @@ class TestPooling:
             simulate_reference(partial, B=500, seed=1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("scale, what", [
-        (1e100, "fourth-moment covariance"),  # W @ W.T overflows before eigh
-        (1e155, "covariance"),  # V itself overflows
+    @pytest.mark.parametrize("shape, scale, what", [
+        # n > p: W @ W.T overflows before eigh, or V itself does
+        pytest.param((3, 30, 35), 1e100, ("fourth-moment covariance",) * 3,
+                     id="1e+100-fourth-moment covariance"),
+        pytest.param((3, 30, 35), 1e155, ("covariance",) * 3, id="1e+155-covariance"),
+        # n <= p keeps F = W/sqrt(n - 1) with no Gram matrix to check: the
+        # contrasted factors overflow in the trace, v_jj v_kk in the Jacobian
+        pytest.param((4, 5, 5), 1e80, ("statistic covariance", "product of variances",
+                                        "product of variances"), id="n<=p-1e+80"),
+        pytest.param((4, 5, 5), 1e100, ("statistic covariance", "product of variances",
+                                         "product of variances"), id="n<=p-1e+100"),
     ])
-    def test_out_of_range_magnitudes_name_the_cause(self, scale, what):
+    def test_out_of_range_magnitudes_name_the_cause(self, shape, scale, what):
+        # what names the quantity that overflows for covariance `equal`,
+        # correlation `equal-correlated` and the combined test, in turn
         rng = np.random.default_rng(3)
-        sample = GroupedSample(tuple(scale * rng.standard_normal((3, n)) for n in (30, 35)))
-        message = f"the data's magnitude is out of floating-point range: its {what} overflows"
-        for target, name in ((COVARIANCE, "equal"), (CORRELATION, "equal-correlated")):
-            spec = predefined_hypothesis(name, target, 2, 3)
+        d, *n = shape
+        sample = GroupedSample(tuple(scale * rng.standard_normal((d, n_i)) for n_i in n))
+        message = "the data's magnitude is out of floating-point range: its {} overflows".format
+        for target, name, w in ((COVARIANCE, "equal", what[0]),
+                                (CORRELATION, "equal-correlated", what[1])):
+            spec = predefined_hypothesis(name, target, 2, d)
             with pytest.raises(ValueError) as exc:
                 run_test(sample, spec, repetitions=500, seed=1)
-            assert str(exc.value) == message
+            assert str(exc.value) == message(w)
         with pytest.raises(ValueError) as exc:
             combined_test(sample, repetitions=500, seed=1)
-        assert str(exc.value) == message
+        assert str(exc.value) == message(what[2])
+
+    def test_vanishing_variance_product_names_the_cause(self):
+        # two variances of about 1e-180 are positive, but their product is
+        # below the smallest subnormal and would divide as zero
+        rng = np.random.default_rng(3)
+        sample = GroupedSample(tuple(1e-90 * rng.standard_normal((4, 5)) for _ in range(2)))
+        with pytest.raises(ValueError) as exc:
+            pool_estimates(sample)
+        assert str(exc.value) == (
+            "the data's magnitude is out of floating-point range: its product of variances underflows"
+        )
