@@ -13,10 +13,14 @@ rejection rate over all components, estimated on the reference draws
 themselves, stays at the requested level; the componentwise bands are
 order-statistic quantiles of the draws.  Rejection of a block (the
 variance part or the correlation part) is inverted into a p-value on the
-grid of steps 1/B, and the global p-value for equality of the two
-covariance matrices is the smaller of the two block p-values.  The
-statistic and the reference take the moment estimates only;
-``combined_test`` pools the sample once and passes the estimates to both.
+grid of steps 1/B, and the global p-value is the smaller of the two.
+One rule, whether a vector leaves the band of grid level k, and one
+bisection for the first such k give both: beta is one step below the
+first level at which more than alpha B draws leave, and a block's p-value
+is the share of draws that leave at the first level the statistic's block
+leaves, 1 where it never does.  The statistic and the reference take the
+moment estimates only; ``combined_test`` pools the sample once and passes
+the estimates to both.
 """
 
 from __future__ import annotations
@@ -41,14 +45,18 @@ from .linalg import vech_diag_positions
 _FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
-def combined_statistic(est: MomentEstimates) -> np.ndarray:
-    """sqrt(N) times the difference of stacked variances and correlations."""
+def _check_estimates(est: MomentEstimates) -> None:
     if est.a != 2:
         raise ValueError(f"the combined test requires exactly two groups, got {est.a}")
     if est.d < 2:
         raise ValueError("the combined test requires d >= 2")
     if not est.has_correlation:
         raise ValueError("estimates lack correlation components")
+
+
+def combined_statistic(est: MomentEstimates) -> np.ndarray:
+    """sqrt(N) times the difference of stacked variances and correlations."""
+    _check_estimates(est)
     diag = vech_diag_positions(est.d)
     parts = [
         np.concatenate([est.vhat[i][diag], est.rhat[i]])
@@ -67,10 +75,7 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     rounding residue, by the relative rule of the Anova-type statistic,
     raise ``ValueError``.
     """
-    if est.a != 2:
-        raise ValueError(f"the combined test requires exactly two groups, got {est.a}")
-    if not est.has_correlation:
-        raise ValueError("estimates lack correlation components")
+    _check_estimates(est)
     _check_repetitions(B)
     diag = vech_diag_positions(est.d)
     # per group, the stacked selector and Jacobian A_i times the factor F_i
@@ -96,17 +101,29 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     return out
 
 
-def _band_indices(B: int, k: int) -> tuple[int, int]:
-    # order-statistic indices of the empirical beta/2 and 1 - beta/2
-    # quantiles at beta = k/B, inverse-CDF with downward rounding; exact
-    # integer arithmetic keeps grid boundaries stable
-    return ((B - 1) * k) // (2 * B), ((B - 1) * (2 * B - k)) // (2 * B)
+def _outside(srt: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """Which rows of X have a component strictly outside the level-k band."""
+    # the band's ends are the empirical beta/2 and 1 - beta/2 quantiles at
+    # beta = k/B, inverse-CDF with downward rounding; exact integer
+    # arithmetic keeps grid boundaries stable
+    B = srt.shape[0]
+    lo, hi = srt[(B - 1) * k // (2 * B)], srt[(B - 1) * (2 * B - k) // (2 * B)]
+    return np.any((X < lo) | (X > hi), axis=-1)
 
 
-def _outside_counts(srt: np.ndarray, draws: np.ndarray, k: int) -> int:
-    lo_idx, hi_idx = _band_indices(draws.shape[0], k)
-    outside = (draws < srt[lo_idx]) | (draws > srt[hi_idx])
-    return int(np.any(outside, axis=1).sum())
+def _first_level(outside, n: int) -> int:
+    """Smallest level k < n at which ``outside(k)`` holds, or n where it
+    never does.  The bands shrink as k grows, so a vector outside at level
+    k stays outside above it and the search may bisect."""
+    lo, hi = 0, n
+    while lo < hi:
+        # the lower midpoint gives low levels, the usual answers, short paths
+        mid = (lo + hi - 1) // 2
+        if outside(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def calibrate_beta(
@@ -126,31 +143,10 @@ def calibrate_beta(
     B = draws.shape[0]
     if srt is None:
         srt = np.sort(draws, axis=0)
-    bound = alpha * B
-    # the rejection rate grows with k, so the feasible set is an interval
-    lo, hi = 0, B - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _outside_counts(srt, draws, mid) <= bound:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo / B
-
-
-def _exit_levels(srt: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Per component, the smallest grid k at which T falls strictly outside
-    the band, or B where it never does.
-
-    T_j < srt[lo_k, j] exactly when lo_k reaches the count of draws <= T_j,
-    and T_j > srt[hi_k, j] exactly when hi_k falls below the count of draws
-    < T_j; lo_k grows and hi_k shrinks with k, so both are sorted lookups.
-    """
-    B = srt.shape[0]
-    lo, hi = _band_indices(B, np.arange(B))
-    below = np.searchsorted(lo, (srt <= T).sum(axis=0), side="left")
-    above = np.searchsorted(-hi, -(srt < T).sum(axis=0), side="right")
-    return np.minimum(below, above)
+    # beta is j/B with j + 1 the first level that rejects too often; no
+    # draw leaves the level-0 band, the range of the draws, so j + 1 >= 1
+    j = _first_level(lambda j: _outside(srt, draws, j + 1).sum() > alpha * B, B - 1)
+    return j / B
 
 
 @dataclass(frozen=True)
@@ -192,16 +188,14 @@ def combined_test(
     B = repetitions
     srt = np.sort(draws, axis=0)
     beta_tilde = calibrate_beta(draws, alpha, srt=srt)
-
+    # a block's p-value is the rejection rate of the draws at the first
+    # grid level whose band T leaves in that block, 1 where it never does
     d = est.d
-    exits = _exit_levels(srt, T)
-
-    def block_pvalue(block: np.ndarray) -> float:
-        k = int(block.min())
-        return 1.0 if k == B else _outside_counts(srt, draws, k) / B
-
-    p_var = block_pvalue(exits[:d])
-    p_corr = block_pvalue(exits[d:])
+    exits = [
+        _first_level(lambda k: _outside(srt[:, block], T[block], k), B)
+        for block in (slice(None, d), slice(d, None))
+    ]
+    p_var, p_corr = (1.0 if k == B else int(_outside(srt, draws, k).sum()) / B for k in exits)
     return CombinedReport(
         statistic=T,
         beta_tilde=beta_tilde,

@@ -47,8 +47,10 @@ from .hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
 
 _METHODS = ("MC", "BT", "TAY")
 
-# chi-square entries per block of draws in the weighted kernel; the draws
-# for a given seed depend on this size
+# chi-square entries per block of draws in the weighted kernel; numpy fills
+# each block element by element in C order, so the variates for a given
+# seed do not depend on this size, though BLAS may round the weighted sums
+# of differently sized blocks apart in the last bit
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -121,8 +123,11 @@ def _check_trace(tr: float, E: np.ndarray, theta: np.ndarray) -> None:
     _check_in_range(tr, "statistic covariance")
     # an analytically zero estimator covariance leaves rounding residue of
     # order eps^2 relative to (|E| |theta|)^2, so the cutoff is relative,
-    # not exact; genuine traces sit many orders of magnitude above it
-    scale = np.abs(E).max() * max(np.abs(theta).max(), np.finfo(float).tiny)
+    # not exact; genuine traces sit many orders of magnitude above it, and
+    # data whose positive scale squares to zero are out of range instead
+    scale = np.abs(E).max() * np.abs(theta).max()
+    if 0.0 < scale < 1.0:
+        _check_in_range(scale * scale, "statistic covariance", positive=True)
     if not tr > 1e-20 * scale * scale:
         raise ValueError("hypothesis covariance degenerate: zero trace")
 

@@ -998,6 +998,20 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("scale", [1e-90, 1e-160])
+    def test_underflowing_statistic_covariance_exits_numerical(self, tmp_path, scale):
+        # the contrasted factors of 4 x 5 draws this small square to zero
+        rng = np.random.default_rng(3)
+        path = data_csv(tmp_path, [scale * rng.standard_normal((4, 5)) for _ in range(2)])
+        proc = run_cli("--data", path, "--group-column", "g", "--target", "covariance",
+                       "--hypothesis", "equal", "--seed", "1")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "covartest: error: numerical: the data's magnitude is out of floating-point "
+            "range: its statistic covariance underflows\n"
+        )
+
     @pytest.mark.parametrize("target", [
         ["--target", "covariance", "--hypothesis", "equal"],
         ["--target", "covariance", "--hypothesis", "equal", "--method", "BT"],

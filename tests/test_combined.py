@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.combined import (
-    _exit_levels,
+    _first_level,
+    _outside,
     calibrate_beta,
     combined_statistic,
     combined_test,
@@ -134,8 +135,9 @@ class TestBands:
 
     @pytest.mark.parametrize("B", [1, 2, 5, 17, 40])
     def test_exit_levels_match_every_grid_band(self, rng, B):
-        # oracle: the first k whose band from reference_bands excludes the
-        # component, scanning every grid level; B where none does
+        # oracle: per component, the first k whose band from reference_bands
+        # excludes it, scanning every grid level, B where none does; a
+        # column block first exits at the smallest level of its components
         for _ in range(20):
             draws = rng.integers(-3, 4, size=(B, 6)).astype(float)  # ties
             draws[:, 0] = 1.0  # a constant column
@@ -145,7 +147,11 @@ class TestBands:
             for k in range(B - 1, -1, -1):
                 lo, hi = reference_bands(draws, k / B)
                 expect[(T < lo) | (T > hi)] = k
-            assert_array_equal(_exit_levels(np.sort(draws, axis=0), T), expect)
+            srt = np.sort(draws, axis=0)
+            for i in range(6):
+                for j in range(i + 1, 7):
+                    first = _first_level(lambda k: _outside(srt[:, i:j], T[i:j], k), B)
+                    assert first == expect[i:j].min(), (i, j)
 
 
 class TestCalibration:

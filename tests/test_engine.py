@@ -372,6 +372,43 @@ class TestGroupPermutation:
 
 
 class TestSeeds:
+    @pytest.mark.parametrize("method, target, name", [
+        ("MC", COVARIANCE, "equal"),
+        ("BT", COVARIANCE, "equal"),
+        ("BT", CORRELATION, "equal-correlated"),
+        ("TAY", CORRELATION, "equal-correlated"),
+    ])
+    def test_variates_do_not_depend_on_the_block_size(self, rng, monkeypatch, method, target, name):
+        # numpy fills chi-square variates element by element in C order, with
+        # one df for all weights (MC, TAY, BT numerator) or one per weight
+        # (BT denominator), so one block of 700 rows and 700 blocks of one
+        # row draw the same variates; BLAS sums a block's rows with kernels
+        # that depend on its row count, so the draws agree to rounding
+        est = pool_estimates(two_group_sample(rng), include_correlation=True)
+        spec = predefined_hypothesis(name, target, 2, 3)
+        reference = {"MC": mc_reference, "BT": bootstrap_reference, "TAY": taylor_reference}[method]
+        root_rng = engine._root_rng
+
+        def recorded_draws():
+            variates = []
+
+            class Recording:
+                def __init__(self, seed):
+                    self.rng = root_rng(seed)
+
+                def chisquare(self, df, size):
+                    variates.append(self.rng.chisquare(df, size=size))
+                    return variates[-1]
+
+            monkeypatch.setattr(engine, "_root_rng", Recording)
+            return reference(spec, est, 700, 11), np.concatenate([v.ravel() for v in variates])
+
+        whole, whole_variates = recorded_draws()
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 1)
+        blocks, block_variates = recorded_draws()
+        assert block_variates.tobytes() == whole_variates.tobytes()
+        assert_allclose(blocks, whole, rtol=1e-14)
+
     def test_fresh_seed_range(self):
         for _ in range(5):
             s = fresh_seed()

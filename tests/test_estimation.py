@@ -400,14 +400,21 @@ class TestPooling:
                                         "product of variances"), id="n<=p-1e+80"),
         pytest.param((4, 5, 5), 1e100, ("statistic covariance", "product of variances",
                                          "product of variances"), id="n<=p-1e+100"),
+        # positive variances whose products, and the contrasted factors'
+        # squares, underflow to zero
+        pytest.param((4, 5, 5), 1e-90, ("statistic covariance", "product of variances",
+                                         "product of variances"), id="n<=p-1e-90"),
+        pytest.param((4, 5, 5), 1e-160, ("statistic covariance", "product of variances",
+                                          "product of variances"), id="n<=p-1e-160"),
     ])
     def test_out_of_range_magnitudes_name_the_cause(self, shape, scale, what):
-        # what names the quantity that overflows for covariance `equal`,
-        # correlation `equal-correlated` and the combined test, in turn
+        # what names the quantity that over- or underflows for covariance
+        # `equal`, correlation `equal-correlated` and the combined test
         rng = np.random.default_rng(3)
         d, *n = shape
         sample = GroupedSample(tuple(scale * rng.standard_normal((d, n_i)) for n_i in n))
-        message = "the data's magnitude is out of floating-point range: its {} overflows".format
+        way = "overflows" if scale > 1.0 else "underflows"
+        message = ("the data's magnitude is out of floating-point range: its {} " + way).format
         for target, name, w in ((COVARIANCE, "equal", what[0]),
                                 (CORRELATION, "equal-correlated", what[1])):
             spec = predefined_hypothesis(name, target, 2, d)
@@ -417,6 +424,13 @@ class TestPooling:
         with pytest.raises(ValueError) as exc:
             combined_test(sample, repetitions=500, seed=1)
         assert str(exc.value) == message(what[2])
+
+    def test_constant_data_has_zero_trace(self):
+        # an exactly zero covariance is degenerate, not out of range
+        sample = GroupedSample((np.ones((4, 5)), np.ones((4, 5))))
+        with pytest.raises(ValueError) as exc:
+            run_test(sample, predefined_hypothesis("equal", COVARIANCE, 2, 4), repetitions=500, seed=1)
+        assert str(exc.value) == "hypothesis covariance degenerate: zero trace"
 
     def test_vanishing_variance_product_names_the_cause(self):
         # two variances of about 1e-180 are positive, but their product is
