@@ -14,7 +14,9 @@ distribution is approximated by one of
 Nothing here forms the dense pooled covariance.  With F_i the exact factor
 of group i's fourth-moment covariance (M_i F_i on the correlation scale)
 and E_i the contrast block of group i, the contrasted factor
-G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T: the trace
+G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T.  For a
+contrast kept as C = A kron B, E_i F_i is column i of A kron (B F_i), so
+neither C nor any of its blocks is formed.  The trace
 is ||G||_F^2 and the MC and BT weights are the nonzero eigenvalues of the
 smaller Gram matrix of G.  A rank-deficient G feeds only its nonzero
 eigenvalues to the chi-square draws.  TAY's draws ||G z||^2 / ||G||_F^2
@@ -119,7 +121,9 @@ def _resolve(spec: HypothesisSpec, theta: np.ndarray):
     return spec.C @ f - spec.zeta, spec.C @ spec.transform.jacobian(theta)
 
 
-def _check_trace(tr: float, E: np.ndarray, theta: np.ndarray) -> None:
+def _check_trace(tr: float, E, theta: np.ndarray) -> None:
+    """``E`` is the linearized contrast, or any array whose largest
+    absolute entry is the contrast's."""
     _check_in_range(tr, "statistic covariance")
     # an analytically zero estimator covariance leaves rounding residue of
     # order eps^2 relative to (|E| |theta|)^2, so the cutoff is relative,
@@ -153,12 +157,30 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
         theta, factors = est.vhat_pooled, est.Sigma_factor
     else:
         theta, factors = est.rhat_pooled, est.Upsilon_factor
-    u, E = _resolve(spec, theta)
+    if spec.factors is None:
+        u, E = _resolve(spec, theta)
+    else:
+        # C = A kron B: C theta is A Theta B^T read row by row, with row i
+        # of Theta group i's half-vector, and group i's block of C is
+        # column i of A kron B; B None is the identity
+        A, B = spec.factors
+        u = A @ theta.reshape(est.a, -1)
+        u = (u if B is None else u @ B.T).ravel() - spec.zeta
+        # max|A kron B| = max|A| max|B|, exactly: rounding is monotone
+        E = np.abs(A).max() * (1.0 if B is None else np.abs(B).max())
     dim = len(theta) // est.a
-    K = tuple(
-        np.sqrt(est.N / n_i) * (E[:, i * dim:(i + 1) * dim] @ F)
-        for i, (n_i, F) in enumerate(zip(est.n, factors))
-    )
+    K = []
+    for i, (n_i, F) in enumerate(zip(est.n, factors)):
+        if spec.factors is None:
+            block = E[:, i * dim:(i + 1) * dim] @ F
+        else:
+            block = np.kron(A[:, [i]], F if B is None else B @ F)
+            # a zero of A times a negative entry is -0.0 where the dense
+            # product sums to +0.0; adding 0.0 keeps G's bytes
+            block += 0.0
+        block *= np.sqrt(est.N / n_i)
+        K.append(block)
+    K = tuple(K)
     G = np.hstack(K)
     trace = float(np.vdot(G, G))
     _check_trace(trace, E, theta)

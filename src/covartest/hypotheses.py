@@ -2,8 +2,13 @@
 
 Every hypothesis is a pair (C, zeta) acting on the stacked half-vectorized
 group parameters, optionally after a smooth coordinate transform: the null
-states C f(theta) = zeta.  Multi-group ``equal`` and ``equal-correlated``,
-and one-group ``equal-correlated``, use centering matrices.  Every other
+states C f(theta) = zeta.  Every multi-group contrast is kept as the two
+factors of C = A kron B: A acts across the groups and B on each group's
+half-vector, and C itself is built only when something reads it.
+``equal`` and ``equal-correlated`` take the centering matrix for A and
+the identity for B; ``equal-trace`` and ``equal-diagonals`` take the
+successive group differences for A and the diagonal rows, or their sum,
+for B.  One-group ``equal-correlated`` is a centering matrix.  Every other
 per-group row follows one rule over the lag of each half-vector entry, its
 column minus its row: the entries of a chosen set of lags (lag 0, every
 lag above 0, or each lag alone) are equated in succession, and the entries
@@ -54,15 +59,22 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class HypothesisSpec:
-    """One testable null C f(theta) = zeta for a given target and layout."""
+    """One testable null C f(theta) = zeta for a given target and layout.
+
+    A spec given ``factors`` (A, B) instead of C has C = A kron B, where B
+    None stands for the identity on one group's half-vector.  It keeps A
+    and B as given and builds C on the first read of ``spec.C``, then
+    keeps that C; the engines work on the factors and never read it.
+    """
 
     target: str
-    C: np.ndarray
+    C: np.ndarray | None
     zeta: np.ndarray
     label: str
     a: int
     d: int
     transform: TransformSpec | None = None
+    factors: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def __post_init__(self) -> None:
         if self.target not in _TARGETS:
@@ -71,29 +83,56 @@ class HypothesisSpec:
             raise ValueError(f"group count must be positive, got {self.a}")
         if self.d < 1:
             raise ValueError(f"dimension must be positive, got {self.d}")
-        C = np.asarray(self.C, dtype=float)
         zeta = np.asarray(self.zeta, dtype=float).ravel()
-        if C.ndim != 2:
-            raise ValueError("C must be a two-dimensional matrix")
-        if C.shape[0] < 1:
-            raise ValueError("C needs at least one row")
-        if not np.all(np.isfinite(C)) or not np.all(np.isfinite(zeta)):
+        if self.factors is None:
+            parts = [np.asarray(self.C, dtype=float)]
+        elif self.C is not None or self.transform is not None:
+            raise ValueError("factors replace C and take no transform")
+        else:
+            A, B = self.factors
+            parts = [np.asarray(A, dtype=float)] + ([] if B is None else [np.asarray(B, dtype=float)])
+        q = self.base_dim
+        # C's shape is the product of its factors' shapes, B = I_q's included
+        rows, cols = (q, q) if self.factors is not None and self.factors[1] is None else (1, 1)
+        for P in parts:
+            if P.ndim != 2:
+                raise ValueError("C must be a two-dimensional matrix")
+            if P.shape[0] < 1:
+                raise ValueError("C needs at least one row")
+            rows, cols = rows * P.shape[0], cols * P.shape[1]
+        if not all(np.all(np.isfinite(P)) for P in parts) or not np.all(np.isfinite(zeta)):
             raise ValueError("C and zeta must be finite")
-        if np.any(np.all(C == 0.0, axis=1)):
+        # a row of A kron B is zero exactly when its row of A or of B is
+        if any(np.any(np.all(P == 0.0, axis=1)) for P in parts):
             raise ValueError("C contains an all-zero row")
         # a transformed null's C acts on f(theta); the engine checks its width
-        expected = self.a * self.base_dim
-        if self.transform is None and C.shape[1] != expected:
+        expected = self.a * q
+        if self.transform is None and cols != expected:
             raise ValueError(
-                f"C has {C.shape[1]} columns but the {self.target} target "
+                f"C has {cols} columns but the {self.target} target "
                 f"with a={self.a}, d={self.d} needs {expected}"
             )
-        if len(zeta) != C.shape[0]:
+        if len(zeta) != rows:
             raise ValueError(
-                f"zeta has length {len(zeta)} but C has {C.shape[0]} rows"
+                f"zeta has length {len(zeta)} but C has {rows} rows"
             )
-        object.__setattr__(self, "C", C)
+        if self.factors is None:
+            object.__setattr__(self, "C", parts[0])
+        else:
+            object.__setattr__(self, "factors", (parts[0], parts[1] if len(parts) == 2 else None))
+            object.__delattr__(self, "C")  # built by __getattr__ on first read
         object.__setattr__(self, "zeta", zeta)
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails, as for a factored spec's
+        # C before its first read
+        factors = self.__dict__.get("factors")
+        if name != "C" or factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        A, B = factors
+        C = np.kron(A, np.eye(self.base_dim) if B is None else B)
+        object.__setattr__(self, "C", C)
+        return C
 
     @property
     def base_dim(self) -> int:
@@ -102,7 +141,7 @@ class HypothesisSpec:
 
     @property
     def m(self) -> int:
-        return self.C.shape[0]
+        return len(self.zeta)
 
 
 def _lags(target: str, d: int) -> np.ndarray:
@@ -295,10 +334,10 @@ def predefined_hypothesis(
     if groups == "several" and a < 2:
         raise ValueError(f"hypothesis {name!r} needs at least two groups")
     q = full_length(d) if target == COVARIANCE else strict_length(d)
-    zeta = None
+    C = zeta = factors = None
 
     if name in ("equal", "equal-correlated") and a > 1:
-        C = np.kron(centering_matrix(a), np.eye(q))
+        factors = (centering_matrix(a), None)
     elif name == "equal":
         if d < 2:
             raise ValueError("hypothesis 'equal' with one group needs d >= 2")
@@ -339,11 +378,14 @@ def predefined_hypothesis(
         diag_rows = _rows(lags, zero=lags == 0)
         if name == "equal-trace":
             diag_rows = diag_rows.sum(axis=0, keepdims=True)
-        C = np.kron(_difference_rows(a, np.arange(a)), diag_rows)
+        factors = (_difference_rows(a, np.arange(a)), diag_rows)
 
-    if zeta is None:
+    if factors is not None:
+        A, B = factors
+        zeta = np.zeros(len(A) * (q if B is None else len(B)))
+    elif zeta is None:
         zeta = np.zeros(C.shape[0])
-    return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d)
+    return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d, factors=factors)
 
 
 def custom_hypothesis(C, zeta, target: str, a: int, d: int) -> HypothesisSpec:

@@ -2,14 +2,17 @@
 
 The engines never form the pooled a*p x a*p covariance: they work on the
 contrasted factor G = [sqrt(N/n_i) E_i F_i] with G G^T = E Sigma_pooled E^T.
-Here the statistic, its covariance H and the MC weights are checked against
-H built densely inside the test from ``group_fourth_moment_cov`` and
-``scipy.linalg.block_diag``, for groups narrower and wider than p.  A guard
-checks that the test entry points leave the dense matrices unbuilt and never
-take an eigendecomposition wider than the sample when n_i <= p.
+Nor do they form a multi-group contrast C = A kron B: E_i F_i is column i
+of A kron (B F_i).  Here the statistic, its covariance H and the MC weights
+are checked against H built densely inside the test from the dense C,
+``group_fourth_moment_cov`` and ``scipy.linalg.block_diag``, for groups
+narrower and wider than p.  A guard checks that the test entry points leave
+the dense matrices unbuilt and never take an eigendecomposition wider than
+the sample when n_i <= p.
 """
 
 import io
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -34,6 +37,7 @@ from covartest.estimation import (
 from covartest.hypotheses import (
     CORRELATION,
     COVARIANCE,
+    HypothesisSpec,
     predefined_hypothesis,
     structure_hypothesis,
 )
@@ -79,9 +83,19 @@ CASES = [
     (CORRELATION, "equal-correlated", 5, (8, 50)),
     (CORRELATION, "hautoregressive", 5, (9,)),  # carries a transform
     (CORRELATION, "hautoregressive", 4, (80,)),
+    # three groups, contrasts kept as Kronecker factors
+    (COVARIANCE, "equal", 4, (6, 8, 7)),
+    (COVARIANCE, "equal", 3, (30, 40, 35)),
+    (CORRELATION, "equal-correlated", 4, (5, 6, 4)),  # p = 6
+    (CORRELATION, "equal-correlated", 4, (30, 9, 40)),
+    (COVARIANCE, "equal-trace", 4, (6, 8, 7)),
+    (COVARIANCE, "equal-trace", 3, (30, 40, 35)),
+    (COVARIANCE, "equal-diagonals", 4, (6, 8, 7)),
+    (COVARIANCE, "equal-diagonals", 3, (30, 40, 35)),
 ]
 IDS = ["cov-narrow", "cov-wide", "cov-mixed", "corr-narrow", "corr-mixed",
-       "har-narrow", "har-wide"]
+       "har-narrow", "har-wide", "cov3-narrow", "cov3-wide", "corr3-narrow",
+       "corr3-mixed", "trace3-narrow", "trace3-wide", "diag3-narrow", "diag3-wide"]
 
 
 def spec_for(target, name, d, a):
@@ -111,6 +125,68 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
     assert len(lam) <= min(spec.m, sum(n))
     assert np.abs(lam - dense[-len(lam):]).max() <= REL * dense[-1]
     assert abs(dense[:-len(lam)].sum()) <= REL
+
+
+@pytest.mark.parametrize("target, name", [
+    (COVARIANCE, "equal"),
+    (CORRELATION, "equal-correlated"),
+    (COVARIANCE, "equal-diagonals"),
+])
+def test_factored_contrast_keeps_the_dense_bytes(target, name):
+    # each entry of E_i F_i is one product of an entry of A and one of
+    # F_i (a selected row of it, for equal-diagonals), so the factored G
+    # must equal the dense product bit for bit, signed zeros included
+    sample = sample_of(77, 4, (6, 9, 30, 7))
+    spec = predefined_hypothesis(name, target, 4, 4)
+    est = pool_estimates(sample, include_correlation=target == CORRELATION)
+    G = _contrast(spec, est).G
+    factors = est.Sigma_factor if target == COVARIANCE else est.Upsilon_factor
+    q = spec.base_dim
+    dense = np.hstack([
+        np.sqrt(est.N / n_i) * (spec.C[:, i * q:(i + 1) * q] @ F)
+        for i, (n_i, F) in enumerate(zip(est.n, factors))
+    ])
+    assert G.shape == dense.shape
+    assert G.tobytes() == dense.tobytes()
+
+
+class TestFactoredSpec:
+    """A spec given its Kronecker factors checks them as it checks C."""
+
+    def spec(self, A, B, zeta=None):
+        q = 6  # covariance, d = 3
+        m = len(A) * (q if B is None else len(B))
+        return HypothesisSpec(target=COVARIANCE, C=None, zeta=np.zeros(m) if zeta is None else zeta,
+                              label="factored", a=A.shape[1], d=3, factors=(A, B))
+
+    def test_m_without_building_C(self):
+        A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        for B, m in ((None, 12), (np.ones((1, 6)), 2)):
+            spec = self.spec(A, B)
+            assert spec.m == m
+            assert "C" not in vars(spec)
+            assert spec.C is spec.C
+            assert spec.C.shape == (m, 18)
+
+    def test_validation_messages(self):
+        A = np.array([[1.0, -1.0]])
+        with pytest.raises(ValueError, match="C and zeta must be finite"):
+            self.spec(np.array([[1.0, np.nan]]), None)
+        with pytest.raises(ValueError, match="C and zeta must be finite"):
+            self.spec(A, np.array([[1.0, 0, 0, np.inf, 0, 0]]))
+        with pytest.raises(ValueError, match="C contains an all-zero row"):
+            self.spec(np.array([[1.0, -1.0], [0.0, 0.0]]), None)
+        with pytest.raises(ValueError, match="C contains an all-zero row"):
+            self.spec(A, np.array([[1.0, 0, 0, 0, 0, 0], [0.0] * 6]))
+        with pytest.raises(ValueError, match="zeta has length 5 but C has 6 rows"):
+            self.spec(A, None, zeta=np.zeros(5))
+        with pytest.raises(ValueError, match="C has 10 columns but the covariance target with a=2, d=3 needs 12"):
+            self.spec(A, np.ones((1, 5)))
+        with pytest.raises(ValueError, match="C must be a two-dimensional matrix"):
+            self.spec(A, np.ones(6))
+        with pytest.raises(ValueError, match="factors replace C and take no transform"):
+            HypothesisSpec(target=COVARIANCE, C=np.ones((6, 12)), zeta=np.zeros(6), label="both",
+                           a=2, d=3, factors=(A, None))
 
 
 @pytest.mark.parametrize("d, n", [(4, 6), (3, 30)], ids=["narrow", "wide"])
@@ -161,19 +237,30 @@ def watched(monkeypatch):
     return seen
 
 
-def test_entry_points_build_no_dense_matrix(watched, tmp_path):
+def test_entry_points_build_no_dense_matrix(watched, tmp_path, monkeypatch):
     # d = 10 (p = 55, 45 correlation coordinates) and three groups of 12:
     # every factor is the 12-column outer-product matrix, so no
-    # eigenproblem may be wider than the 36 observations
+    # eigenproblem may be wider than the 36 observations; no Kronecker
+    # contrast may be built either, which a spec shows by holding no C
     sample = sample_of(909, 10, (12, 12, 12))
+    specs = []
     for target, name, methods in (
         (COVARIANCE, "equal", ("MC", "BT")),
+        (COVARIANCE, "equal-trace", ("MC", "BT")),
+        (COVARIANCE, "equal-diagonals", ("MC", "BT")),
         (CORRELATION, "equal-correlated", ("MC", "BT", "TAY")),
     ):
         spec = predefined_hypothesis(name, target, 3, 10)
+        specs.append(spec)
         for method in methods:
             run_test(sample, spec, method=method, repetitions=500, seed=4)
     combined_test(GroupedSample(sample.groups[:2]), repetitions=500, seed=5)
+
+    def recorded(*args, **kwargs):
+        specs.append(predefined_hypothesis(*args, **kwargs))
+        return specs[-1]
+
+    monkeypatch.setattr(cli, "predefined_hypothesis", recorded)
 
     path = tmp_path / "narrow.csv"
     rows = np.hstack(sample.groups).T
@@ -184,6 +271,8 @@ def test_entry_points_build_no_dense_matrix(watched, tmp_path):
     ))
     for argv in (
         ["--target", "covariance", "--hypothesis", "equal", "--output", "json"],
+        ["--target", "covariance", "--hypothesis", "equal"],
+        ["--target", "covariance", "--hypothesis", "equal-diagonals", "--method", "BT"],
         ["--target", "correlation", "--hypothesis", "equal-correlated", "--method", "TAY"],
     ):
         with redirect_stdout(io.StringIO()):
@@ -192,5 +281,22 @@ def test_entry_points_build_no_dense_matrix(watched, tmp_path):
         assert code == 0
 
     assert watched["built"] == []
+    assert len(specs) == 8 and all(spec.factors is not None for spec in specs)
+    assert [name for spec in specs for name in vars(spec) if name == "C"] == []
     assert watched["eig"], "the engines solved no eigenproblem at all"
     assert all(len(s) == 2 and s[0] == s[1] <= 36 for s in watched["eig"]), watched["eig"]
+
+
+def test_many_groups_of_high_dimension_run_in_little_memory():
+    # d = 100, three groups: the dense equality contrast would be
+    # 15150 x 15150 doubles, 1.8 GB; G is 15150 x 120
+    sample = sample_of(100, 100, (40, 40, 40))
+    tracemalloc.start()
+    try:
+        spec = predefined_hypothesis("equal", COVARIANCE, 3, 100)
+        report = run_test(sample, spec, method="MC", repetitions=500, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.m == 15150 and np.isfinite(report.statistic)
+    assert peak < 200 * 2**20, peak / 2**20
