@@ -87,11 +87,11 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     ]
     # the rows of A_i are selector rows (entries 1) and Jacobian rows,
     # whose nonzeros are the entries of _jacobian_terms
-    A_max = np.array([1.0, *(
+    A_max = max(1.0, *(
         np.abs(c).max()
         for v, r in zip(est.vhat, est.rhat)
         for _, c in _jacobian_terms(v[diag], r)
-    )])
+    ))
     _check_trace(sum(float(np.vdot(W_i, W_i)) for W_i in W), A_max, est.vhat_pooled)
     rng = _root_rng(seed)
     out = np.empty((B, W[0].shape[0]))

@@ -16,12 +16,13 @@ of group i's fourth-moment covariance (M_i F_i on the correlation scale)
 and E_i the contrast block of group i, the contrasted factor
 G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T.  For a
 contrast kept as C = A kron B, E_i F_i is column i of A kron (B F_i), so
-neither C nor any of its blocks is formed.  The trace
-is ||G||_F^2 and the MC and BT weights are the nonzero eigenvalues of the
-smaller Gram matrix of G.  A rank-deficient G feeds only its nonzero
-eigenvalues to the chi-square draws.  TAY's draws ||G z||^2 / ||G||_F^2
-follow exactly the MC law, so TAY runs on MC's kernel and, for the same
-seed, returns the same draws.
+neither C nor any of its blocks is formed.  G is formed once, each
+group's block written straight into its columns, and the blocks BT reads
+per group are column views of G.  The trace is ||G||_F^2 and the MC and
+BT weights are the nonzero eigenvalues of the smaller Gram matrix of G.
+A rank-deficient G feeds only its nonzero eigenvalues to the chi-square
+draws.  TAY's draws ||G z||^2 / ||G||_F^2 follow exactly the MC law, so
+TAY runs on MC's kernel and, for the same seed, returns the same draws.
 
 Every engine draws all B repetitions from one generator rooted at the
 seed, in blocks of rows whose size depends only on the problem's
@@ -108,28 +109,14 @@ def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
         raise ValueError("estimates lack correlation components")
 
 
-def _resolve(spec: HypothesisSpec, theta: np.ndarray):
-    """Residual C f(theta) - zeta and the linearized contrast C J(theta)."""
-    if spec.transform is None:
-        return spec.C @ theta - spec.zeta, spec.C
-    f = spec.transform.map(theta)
-    if len(f) != spec.C.shape[1]:
-        raise ValueError(
-            f"the transform maps theta to {len(f)} coordinates "
-            f"but C has {spec.C.shape[1]} columns"
-        )
-    return spec.C @ f - spec.zeta, spec.C @ spec.transform.jacobian(theta)
-
-
-def _check_trace(tr: float, E, theta: np.ndarray) -> None:
-    """``E`` is the linearized contrast, or any array whose largest
-    absolute entry is the contrast's."""
+def _check_trace(tr: float, e_max: float, theta: np.ndarray) -> None:
+    """``e_max`` is the largest absolute entry of the linearized contrast."""
     _check_in_range(tr, "statistic covariance")
     # an analytically zero estimator covariance leaves rounding residue of
     # order eps^2 relative to (|E| |theta|)^2, so the cutoff is relative,
     # not exact; genuine traces sit many orders of magnitude above it, and
     # data whose positive scale squares to zero are out of range instead
-    scale = np.abs(E).max() * np.abs(theta).max()
+    scale = e_max * np.abs(theta).max()
     if 0.0 < scale < 1.0:
         _check_in_range(scale * scale, "statistic covariance", positive=True)
     if not tr > 1e-20 * scale * scale:
@@ -140,9 +127,9 @@ def _check_trace(tr: float, E, theta: np.ndarray) -> None:
 class _Contrast:
     """One hypothesis contrasted against one set of estimates.
 
-    ``u`` is the residual C f(theta) - zeta, ``K`` holds per group the
-    contrasted factor sqrt(N/n_i) E_i F_i and ``G`` stacks them side by
-    side; ``trace`` is ||G||_F^2, already checked against zero.
+    ``u`` is the residual C f(theta) - zeta and ``G`` the contrasted factor
+    [sqrt(N/n_i) E_i F_i], formed once; ``K`` holds G's column views, one
+    per group.  ``trace`` is ||G||_F^2, already checked against zero.
     """
 
     u: np.ndarray
@@ -157,34 +144,40 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
         theta, factors = est.vhat_pooled, est.Sigma_factor
     else:
         theta, factors = est.rhat_pooled, est.Upsilon_factor
-    if spec.factors is None:
-        u, E = _resolve(spec, theta)
-    else:
+    dim = len(theta) // est.a
+    if spec.factors is not None:
         # C = A kron B: C theta is A Theta B^T read row by row, with row i
         # of Theta group i's half-vector, and group i's block of C is
         # column i of A kron B; B None is the identity
         A, B = spec.factors
-        u = A @ theta.reshape(est.a, -1)
-        u = (u if B is None else u @ B.T).ravel() - spec.zeta
+        u = A @ theta.reshape(est.a, dim)
+        u = (u if B is None else u @ B.T).ravel()
+        blocks = (np.kron(A[:, [i]], F if B is None else B @ F) for i, F in enumerate(factors))
         # max|A kron B| = max|A| max|B|, exactly: rounding is monotone
-        E = np.abs(A).max() * (1.0 if B is None else np.abs(B).max())
-    dim = len(theta) // est.a
-    K = []
-    for i, (n_i, F) in enumerate(zip(est.n, factors)):
-        if spec.factors is None:
-            block = E[:, i * dim:(i + 1) * dim] @ F
-        else:
-            block = np.kron(A[:, [i]], F if B is None else B @ F)
-            # a zero of A times a negative entry is -0.0 where the dense
-            # product sums to +0.0; adding 0.0 keeps G's bytes
-            block += 0.0
-        block *= np.sqrt(est.N / n_i)
-        K.append(block)
-    K = tuple(K)
-    G = np.hstack(K)
+        e_max = np.abs(A).max() * (1.0 if B is None else np.abs(B).max())
+    else:
+        # a transformed null's C acts on f(theta) and is linearized by J(theta)
+        f = theta if spec.transform is None else spec.transform.map(theta)
+        if len(f) != spec.C.shape[1]:
+            raise ValueError(
+                f"the transform maps theta to {len(f)} coordinates "
+                f"but C has {spec.C.shape[1]} columns"
+            )
+        u = spec.C @ f
+        E = spec.C if spec.transform is None else spec.C @ spec.transform.jacobian(theta)
+        blocks = (E[:, i * dim:(i + 1) * dim] @ F for i, F in enumerate(factors))
+        e_max = np.abs(E).max()
+    widths = [F.shape[1] for F in factors]
+    G = np.empty((spec.m, sum(widths)))
+    K = tuple(np.split(G, np.cumsum(widths[:-1]), axis=1))
+    for K_i, block, n_i in zip(K, blocks, est.n):
+        # a zero of A times a negative entry is -0.0 where the dense
+        # product sums to +0.0; adding 0.0 keeps G's bytes
+        np.add(block, 0.0, out=K_i)
+        K_i *= np.sqrt(est.N / n_i)
     trace = float(np.vdot(G, G))
-    _check_trace(trace, E, theta)
-    return _Contrast(u, K, G, trace)
+    _check_trace(trace, e_max, theta)
+    return _Contrast(u - spec.zeta, K, G, trace)
 
 
 def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:

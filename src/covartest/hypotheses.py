@@ -26,7 +26,7 @@ the group counts it accepts: exactly one, at least two, or any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,7 +57,7 @@ class TransformSpec:
     jacobian: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisSpec:
     """One testable null C f(theta) = zeta for a given target and layout.
 
@@ -65,10 +65,11 @@ class HypothesisSpec:
     None stands for the identity on one group's half-vector.  It keeps A
     and B as given and builds C on the first read of ``spec.C``, then
     keeps that C; the engines work on the factors and never read it.
+    Specs compare by identity, and their repr leaves C out.
     """
 
     target: str
-    C: np.ndarray | None
+    C: np.ndarray | None = field(repr=False)
     zeta: np.ndarray
     label: str
     a: int
@@ -112,6 +113,9 @@ class HypothesisSpec:
                 f"C has {cols} columns but the {self.target} target "
                 f"with a={self.a}, d={self.d} needs {expected}"
             )
+        # with the product's width right, A's width fixes B's at q
+        if self.factors is not None and parts[0].shape[1] != self.a:
+            raise ValueError(f"factor A has {parts[0].shape[1]} columns but a={self.a} needs {self.a}")
         if len(zeta) != rows:
             raise ValueError(
                 f"zeta has length {len(zeta)} but C has {rows} rows"

@@ -7,9 +7,11 @@ or the normal vectors (TAY, combined) one at a time.  The package now draws
 all repetitions at once from one root stream, on exact factors of the
 fourth-moment covariances; these loops still read the dense pooled
 covariances through their own ``_theta_and_pooled`` and take factors from
-``psd_factor``, so they stay independent of that path.  The tests compare
-the laws of the two by two-sample KS tests.  Worker threads are left out:
-they never changed the output.
+``psd_factor``, and linearize the contrast from ``spec.C`` and
+``spec.transform`` on their own (``_linearized``), so they stay
+independent of that path.  The tests compare the laws of the two by
+two-sample KS tests.  Worker threads are left out: they never changed the
+output.
 
 The dense helpers below the loops have no caller in the package, so they
 live here: ``psd_factor``, ``group_fourth_moment_cov``, the dense
@@ -35,7 +37,6 @@ from covartest.engine import (
     _check_repetitions,
     _check_trace,
     _normalize_seed,
-    _resolve,
 )
 from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
 from covartest.hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
@@ -54,6 +55,13 @@ def _theta_and_pooled(spec: HypothesisSpec, est: MomentEstimates):
     if spec.target == COVARIANCE:
         return est.vhat_pooled, est.Sigma_pooled
     return est.rhat_pooled, est.Upsilon_pooled
+
+
+def _linearized(spec: HypothesisSpec, theta: np.ndarray) -> np.ndarray:
+    """C, or C J(theta) for a transformed null: the contrast linearized at theta."""
+    if spec.transform is None:
+        return spec.C
+    return spec.C @ spec.transform.jacobian(theta)
 
 
 def _trace_quad(E: np.ndarray, S: np.ndarray) -> float:
@@ -81,11 +89,11 @@ def mc_reference_loop(
     _check_compatible(spec, est)
     _check_repetitions(B)
     theta, pooled = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
+    E = _linearized(spec, theta)
     H = E @ pooled @ E.T
     H = (H + H.T) / 2.0
     tr = float(np.trace(H))
-    _check_trace(tr, E, theta)
+    _check_trace(tr, np.abs(E).max(), theta)
     lam = np.linalg.eigvalsh(H) / tr
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_normalize_seed(seed)))
     out = np.empty(B)
@@ -100,7 +108,7 @@ def mc_reference_loop(
 
 def _bootstrap_ingredients(spec: HypothesisSpec, est: MomentEstimates):
     theta, _ = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
+    E = _linearized(spec, theta)
     if spec.target == COVARIANCE:
         dim, mats = full_length(est.d), dense_sigma(est)
     else:
@@ -162,7 +170,7 @@ def taylor_reference_loop(
     _check_repetitions(B)
     seed = _normalize_seed(seed)
     theta, pooled = _theta_and_pooled(spec, est)
-    _, E = _resolve(spec, theta)
+    E = _linearized(spec, theta)
     denom = _trace_quad(E, pooled)
     if not denom > 0.0:
         raise ValueError("hypothesis covariance degenerate: zero trace")

@@ -38,10 +38,11 @@ from covartest.hypotheses import (
     CORRELATION,
     COVARIANCE,
     HypothesisSpec,
+    custom_hypothesis,
     predefined_hypothesis,
     structure_hypothesis,
 )
-from covartest.linalg import full_length
+from covartest.linalg import full_length, strict_length
 from conftest import gaussian_sample, make_spd
 from reference_loops import correlation_jacobian, group_fourth_moment_cov
 
@@ -131,23 +132,42 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
     (COVARIANCE, "equal"),
     (CORRELATION, "equal-correlated"),
     (COVARIANCE, "equal-diagonals"),
+    (COVARIANCE, "uncorrelated"),
+    (COVARIANCE, "custom"),
+    (CORRELATION, "custom"),
+    (COVARIANCE, "ar"),
 ])
 def test_factored_contrast_keeps_the_dense_bytes(target, name):
     # each entry of E_i F_i is one product of an entry of A and one of
     # F_i (a selected row of it, for equal-diagonals), so the factored G
-    # must equal the dense product bit for bit, signed zeros included
-    sample = sample_of(77, 4, (6, 9, 30, 7))
-    spec = predefined_hypothesis(name, target, 4, 4)
+    # must equal the dense product bit for bit, signed zeros included;
+    # dense and transformed specs keep the bytes of their own product;
+    # G is formed once, and every per-group block is a view of it
+    a = {"uncorrelated": 1, "ar": 1, "custom": 3}.get(name, 4)
+    sample = sample_of(77, 4, (6, 9, 30, 7)[:a])
+    if name == "custom":
+        q = full_length(4) if target == COVARIANCE else strict_length(4)
+        C = np.random.default_rng(12).standard_normal((3, a * q))
+        spec = custom_hypothesis(C, np.zeros(3), target, a, 4)
+    elif name == "ar":
+        spec = structure_hypothesis(name, target, 4)
+    else:
+        spec = predefined_hypothesis(name, target, a, 4)
     est = pool_estimates(sample, include_correlation=target == CORRELATION)
-    G = _contrast(spec, est).G
+    c = _contrast(spec, est)
     factors = est.Sigma_factor if target == COVARIANCE else est.Upsilon_factor
+    theta = est.vhat_pooled if target == COVARIANCE else est.rhat_pooled
+    E = spec.C if spec.transform is None else spec.C @ spec.transform.jacobian(theta)
     q = spec.base_dim
     dense = np.hstack([
-        np.sqrt(est.N / n_i) * (spec.C[:, i * q:(i + 1) * q] @ F)
+        np.sqrt(est.N / n_i) * (E[:, i * q:(i + 1) * q] @ F)
         for i, (n_i, F) in enumerate(zip(est.n, factors))
     ])
-    assert G.shape == dense.shape
-    assert G.tobytes() == dense.tobytes()
+    assert c.G.shape == dense.shape
+    assert c.G.tobytes() == dense.tobytes()
+    assert len(c.K) == a
+    assert all(np.shares_memory(K_i, c.G) for K_i in c.K)
+    assert np.hstack(c.K).tobytes() == dense.tobytes()
 
 
 class TestFactoredSpec:
@@ -164,6 +184,9 @@ class TestFactoredSpec:
         for B, m in ((None, 12), (np.ones((1, 6)), 2)):
             spec = self.spec(A, B)
             assert spec.m == m
+            # repr leaves C out, and specs compare by identity
+            assert "C=" not in repr(spec)
+            assert spec == spec and spec != self.spec(A, B)
             assert "C" not in vars(spec)
             assert spec.C is spec.C
             assert spec.C.shape == (m, 18)
@@ -184,6 +207,11 @@ class TestFactoredSpec:
             self.spec(A, np.ones((1, 5)))
         with pytest.raises(ValueError, match="C must be a two-dimensional matrix"):
             self.spec(A, np.ones(6))
+        # cols(A) cols(B) = 12 = a q, split wrongly between the factors
+        for A_bad, B_bad in ((np.ones((1, 1)), np.ones((2, 12))), (np.ones((1, 4)), np.ones((2, 3)))):
+            with pytest.raises(ValueError, match=f"factor A has {A_bad.shape[1]} columns but a=2 needs 2"):
+                HypothesisSpec(target=COVARIANCE, C=None, zeta=np.zeros(2), label="split",
+                               a=2, d=3, factors=(A_bad, B_bad))
         with pytest.raises(ValueError, match="factors replace C and take no transform"):
             HypothesisSpec(target=COVARIANCE, C=np.ones((6, 12)), zeta=np.zeros(6), label="both",
                            a=2, d=3, factors=(A, None))
