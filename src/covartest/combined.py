@@ -183,8 +183,8 @@ def combined_test(
     seed = _normalize_seed(seed)
     est = pool_estimates(sample, include_correlation=True)
     T = combined_statistic(est)
-    _warn_coarse(repetitions)
     draws = simulate_reference(est, repetitions, seed)
+    _warn_coarse(repetitions)
     B = repetitions
     srt = np.sort(draws, axis=0)
     beta_tilde = calibrate_beta(draws, alpha, srt=srt)

@@ -18,17 +18,15 @@ G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T.  For a
 contrast kept as C = A kron B, E_i F_i is column i of A kron (B F_i), so
 neither C nor any of its blocks is formed.  G is formed once, each
 group's block written straight into its columns, and the blocks BT reads
-per group are column views of G.  The trace is ||G||_F^2 and the MC and
-BT weights are the nonzero eigenvalues of the smaller Gram matrix of G.
-A rank-deficient G feeds only its nonzero eigenvalues to the chi-square
-draws.  TAY's draws ||G z||^2 / ||G||_F^2 follow exactly the MC law, so
-TAY runs on MC's kernel and, for the same seed, returns the same draws.
+per group are column views of G.  The trace is ||G||_F^2.  ``_law`` reads
+every engine's reference law off G and its blocks, keeping only the
+nonzero eigenvalues of the smaller Gram matrices.  TAY's draws
+||G z||^2 / ||G||_F^2 follow exactly the MC law, so for the same seed TAY
+returns MC's draws.
 
 Every engine draws all B repetitions from one generator rooted at the
 seed, in blocks of rows whose size depends only on the problem's
-dimensions, so a rerun with the same seed is byte-identical.  BT draws from
-its exact law: for Gaussian pseudo-samples the redrawn mean and covariance
-are independent, so numerator and denominator are weighted chi-square sums.
+dimensions, so a rerun with the same seed is byte-identical.
 
 The three references take the hypothesis and the moment estimates only,
 never the raw sample.  ``run_test`` pools the sample once, unless the
@@ -65,10 +63,9 @@ def fresh_seed() -> int:
 def _normalize_seed(seed: int | None) -> int:
     if seed is None:
         return fresh_seed()
-    seed = int(seed)
-    if seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    return int(seed)
 
 
 def _root_rng(seed: int | None) -> np.random.Generator:
@@ -198,10 +195,27 @@ def ats(
     return float(est.N * (c.u @ c.u) / c.trace)
 
 
-def _limit_draws(c: _Contrast, B: int, seed: int) -> np.ndarray:
-    """B draws of sum_k lam_k chi2_1, with lam the nonzero eigenvalues of
-    G G^T over its trace; the kernel of both MC and TAY."""
-    return _weighted_chisquare(_root_rng(seed), B, _gram_spectrum(c.G) / c.trace)
+def _law(c: _Contrast, method: str, n: tuple[int, ...]):
+    """``method``'s reference law on contrast ``c`` as (w, mu, df): MC and TAY
+    draw sum_k w_k chi2_1 with w = eig(G G^T) / ||G||_F^2, mu and df None;
+    BT draws sum_k w_k chi2_1 / sum_j mu_j chi2_{df_j} with w = eig(G G^T)
+    and, per group, mu_i = eig(K_i^T K_i) / (n_i - 1) at df n_i - 1."""
+    if method != "BT":
+        return _gram_spectrum(c.G) / c.trace, None, None
+    mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(n, c.K)]
+    df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(n, mu)]
+    return _gram_spectrum(c.G), np.concatenate(mu), np.concatenate(df)
+
+
+def _reference(spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int,
+               contrast: _Contrast | None, method: str) -> np.ndarray:
+    """B draws of ``method``'s law from one stream: all numerators, then BT's denominators."""
+    c = _contrast(spec, est) if contrast is None else contrast
+    _check_repetitions(B)
+    w, mu, df = _law(c, method, est.n)
+    rng = _root_rng(seed)
+    num = _weighted_chisquare(rng, B, w)
+    return num if mu is None else num / _weighted_chisquare(rng, B, mu, df)
 
 
 def mc_reference(
@@ -213,9 +227,7 @@ def mc_reference(
     contrast: _Contrast | None = None,
 ) -> np.ndarray:
     """B draws from the estimated weighted chi-square limit distribution."""
-    c = _contrast(spec, est) if contrast is None else contrast
-    _check_repetitions(B)
-    return _limit_draws(c, B, seed)
+    return _reference(spec, est, B, seed, contrast, "MC")
 
 
 def bootstrap_reference(
@@ -232,19 +244,9 @@ def bootstrap_reference(
     estimated covariance (correlation-scale covariance for correlation
     targets) and recomputes both the contrasted mean and the trace
     denominator.  The redrawn mean and covariance of a normal sample are
-    independent, so with K_i = sqrt(N/n_i) E_i F_i the weighted contrasted
-    factor of group i the draws come from the statistic's exact law
-    sum_k w_k chi2_1 / sum_i sum_j mu_ij chi2_{n_i-1} / (n_i-1), where
-    w = eig(sum_i K_i K_i^T) and mu_i = eig(K_i^T K_i).
+    independent, so the draws come from the exact law that ``_law`` states.
     """
-    c = _contrast(spec, est) if contrast is None else contrast
-    _check_repetitions(B)
-    w = _gram_spectrum(c.G)
-    mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(est.n, c.K)]
-    df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(est.n, mu)]
-    rng = _root_rng(seed)
-    num = _weighted_chisquare(rng, B, w)
-    return num / _weighted_chisquare(rng, B, np.concatenate(mu), np.concatenate(df))
+    return _reference(spec, est, B, seed, contrast, "BT")
 
 
 def taylor_reference(
@@ -261,24 +263,22 @@ def taylor_reference(
     mapped through the estimated Jacobian, and the squared norm of the
     contrasted sum is divided by the observed trace.  That is ||G z||^2 /
     ||G||_F^2, which has exactly the MC law, so the draws come from MC's
-    kernel and equal ``mc_reference``'s for the same seed.
+    law and stream and equal ``mc_reference``'s for the same seed.
     """
     if spec.target != CORRELATION:
         raise ValueError("Taylor method applies to correlation targets only")
-    c = _contrast(spec, est) if contrast is None else contrast
-    _check_repetitions(B)
-    return _limit_draws(c, B, seed)
+    return _reference(spec, est, B, seed, contrast, "TAY")
 
 
 def _check_repetitions(B: int) -> None:
-    if B < 1:
-        raise ValueError(f"repetitions must be positive, got {B}")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
+        raise ValueError(f"repetitions must be a positive integer, got {B}")
 
 
 def _warn_coarse(B: int) -> None:
     """Warn about fewer than 500 repetitions, naming the line that called
-    ``run_test`` or ``combined_test``; B < 1 is left to the references."""
-    if 1 <= B < 500:
+    ``run_test`` or ``combined_test``, once the references have checked B."""
+    if B < 500:
         warnings.warn(
             f"only {B} resampling repetitions; p-values are coarse below 500",
             UserWarning,
@@ -329,13 +329,13 @@ def run_test(
         )
     c = _contrast(spec, est)
     observed = ats(spec, est, contrast=c)
-    _warn_coarse(repetitions)
     if method == "MC":
         ref = mc_reference(spec, est, repetitions, seed, contrast=c)
     elif method == "BT":
         ref = bootstrap_reference(spec, est, repetitions, seed, contrast=c)
     else:
         ref = taylor_reference(spec, est, repetitions, seed, contrast=c)
+    _warn_coarse(repetitions)
     return TestReport(
         statistic=observed,
         p_value=float(np.mean(ref >= observed)),

@@ -289,6 +289,15 @@ class TestCombinedTest:
         with pytest.raises(ValueError, match="two groups"):
             combined_test(sample, repetitions=500, seed=1)
 
+    def test_non_integer_seed_and_repetitions_refused(self, rng):
+        sample = two_groups(rng)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got 2.9$"):
+            combined_test(sample, repetitions=500, seed=2.9)
+        with pytest.raises(ValueError, match="repetitions must be a positive integer, got 1000.0$"):
+            combined_test(sample, repetitions=1000.0, seed=1)
+        a, b = (combined_test(sample, repetitions=500, seed=s) for s in (2, np.int64(2)))
+        assert a.p_total == b.p_total and type(b.seed) is int
+
     def test_low_repetitions_warn(self, rng):
         with pytest.warns(UserWarning, match="500") as record:
             combined_test(two_groups(rng), repetitions=100, seed=1)

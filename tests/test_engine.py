@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -259,8 +261,6 @@ class TestRunTest:
     def test_enough_repetitions_do_not_warn(self, rng):
         sample = two_group_sample(rng)
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_test(sample, spec, repetitions=500, seed=1)
@@ -282,6 +282,25 @@ class TestRunTest:
         spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
         with pytest.raises(ValueError):
             run_test(sample, spec, repetitions=0, seed=1)
+        # a float or bool count is refused, neither truncated nor left to
+        # np.empty, and before any coarse-p-value warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for B in (1000.0, np.float64(600.0), 700.5, 100.0, True):
+                with pytest.raises(ValueError, match=f"repetitions must be a positive integer, got {B}$"):
+                    run_test(sample, spec, repetitions=B, seed=1)
+        for B in (600, np.int64(600)):
+            assert run_test(sample, spec, repetitions=B, seed=1).repetitions == 600
+
+    def test_non_integer_seed_refused(self, rng):
+        # seed 2.9 ran as seed 2 and reported seed=2
+        sample = two_group_sample(rng)
+        spec = predefined_hypothesis("equal", COVARIANCE, 2, 3)
+        for seed in (2.9, 2.0, np.float64(2.0), "2", True, -1, np.int64(-1)):
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}$"):
+                run_test(sample, spec, repetitions=600, seed=seed)
+        a, b = (run_test(sample, spec, repetitions=600, seed=s) for s in (2, np.uint32(2)))
+        assert a == b and type(b.seed) is int
 
     def test_invalid_alpha(self, rng):
         sample = two_group_sample(rng)

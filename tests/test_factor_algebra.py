@@ -3,8 +3,8 @@
 The engines never form the pooled a*p x a*p covariance: they work on the
 contrasted factor G = [sqrt(N/n_i) E_i F_i] with G G^T = E Sigma_pooled E^T.
 Nor do they form a multi-group contrast C = A kron B: E_i F_i is column i
-of A kron (B F_i).  Here the statistic, its covariance H and the MC weights
-are checked against H built densely inside the test from the dense C,
+of A kron (B F_i).  Here the statistic, its covariance H and the MC and BT
+weights are checked against H built densely inside the test from the dense C,
 ``group_fourth_moment_cov`` and ``scipy.linalg.block_diag``, for groups
 narrower and wider than p.  A guard checks that the test entry points leave
 the dense matrices unbuilt and never take an eigendecomposition wider than
@@ -23,7 +23,7 @@ import covartest.cli as cli
 from covartest.combined import combined_test
 from covartest.engine import (
     _contrast,
-    _gram_spectrum,
+    _law,
     ats,
     run_test,
     statistic_covariance,
@@ -56,7 +56,8 @@ def sample_of(seed, d, n):
 
 
 def dense_oracle(spec, sample):
-    """Statistic and H = E block_diag(N/n_i Sigma_i) E^T, built densely."""
+    """Statistic, H = E block_diag(N/n_i Sigma_i) E^T and its per-group
+    terms N/n_i E_i Sigma_i E_i^T, built densely."""
     groups, N = sample.groups, sample.N
     S = [group_fourth_moment_cov(X) for X in groups]
     est = pool_estimates(sample, include_correlation=spec.target == CORRELATION)
@@ -73,7 +74,10 @@ def dense_oracle(spec, sample):
         u = spec.C @ spec.transform.map(theta) - spec.zeta
         E = spec.C @ spec.transform.jacobian(theta)
     H = E @ pooled @ E.T
-    return N * float(u @ u) / np.trace(H), H
+    q = spec.base_dim
+    E_i = [E[:, i * q:(i + 1) * q] for i in range(sample.a)]
+    terms = [(N / X.shape[1]) * B @ S_i @ B.T for X, B, S_i in zip(groups, E_i, S)]
+    return N * float(u @ u) / np.trace(H), H, terms
 
 
 CASES = [
@@ -109,7 +113,7 @@ def spec_for(target, name, d, a):
 def test_factored_statistic_matches_dense_oracle(target, name, d, n):
     sample = sample_of(31 * d + sum(n), d, n)
     spec = spec_for(target, name, d, len(n))
-    stat, H = dense_oracle(spec, sample)
+    stat, H, terms = dense_oracle(spec, sample)
     est = pool_estimates(sample, include_correlation=target == CORRELATION)
     scale = np.abs(H).max()
 
@@ -121,11 +125,27 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
     # MC weights: the nonzero eigenvalues of H over its trace; whatever the
     # Gram spectrum leaves out carries no trace
     c = _contrast(spec, est)
-    lam = _gram_spectrum(c.G) / c.trace
+    lam, no_mu, no_df = _law(c, "MC", est.n)
+    assert no_mu is None and no_df is None
     dense = np.linalg.eigvalsh(H) / np.trace(H)
     assert len(lam) <= min(spec.m, sum(n))
-    assert np.abs(lam - dense[-len(lam):]).max() <= REL * dense[-1]
-    assert abs(dense[:-len(lam)].sum()) <= REL
+    assert_nonzero_spectrum(lam, dense)
+
+    # BT: numerator weights the nonzero eigenvalues of H; the denominator
+    # weights of group i, at df n_i - 1, those of its term over n_i - 1
+    w, mu, df = _law(c, "BT", est.n)
+    assert_nonzero_spectrum(w, np.linalg.eigvalsh(H))
+    assert len(mu) == len(df) and len(set(n)) == len(n)  # df tells the groups apart
+    for n_i, term in zip(n, terms):
+        assert_nonzero_spectrum(mu[df == n_i - 1], np.linalg.eigvalsh(term) / (n_i - 1))
+
+
+def assert_nonzero_spectrum(weights, dense):
+    """``weights`` are the nonzero eigenvalues ``dense`` lists in ascending
+    order, and the ones it leaves out sum to nothing, all to REL."""
+    assert 0 < len(weights) <= len(dense)
+    assert np.abs(weights - dense[-len(weights):]).max() <= REL * dense[-1]
+    assert abs(dense[:-len(weights)].sum()) <= REL * dense.sum()
 
 
 @pytest.mark.parametrize("target, name", [

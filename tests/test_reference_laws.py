@@ -5,7 +5,8 @@ stream, so their draws differ from the loops' draws; their laws must not.
 Each case compares 10 000 draws of both by a two-sample KS test at fixed
 seeds.  MC draws one chi-square per nonzero eigenvalue of the contrasted
 covariance, not one per contrast row as the dense loop does, so its law is
-compared the same way and its stream is pinned byte for byte on its own.
+compared the same way and its stream is pinned byte for byte on its own;
+so is BT's, whose numerator and denominator are drawn from one stream.
 TAY's draws ||G z||^2 / ||G||_F^2 have the MC law and come from MC's
 kernel, so for one seed they equal MC's draws byte for byte.
 """
@@ -183,4 +184,37 @@ def test_mc_stream_is_pinned_across_a_chunk_boundary():
         rng.chisquare(1.0, size=(min(step, Bmc - lo), len(lam))) @ lam
         for lo in range(0, Bmc, step)
     ])
+    assert new.tobytes() == expect.tobytes()
+
+
+def test_bt_stream_is_pinned_across_a_chunk_boundary():
+    # two groups of 40 leave 78 numerator weights and 39 denominator
+    # weights per group at df 39; 78 x 60 000 draws exceeds the
+    # 2**22-element chunk on both sides of the ratio
+    sample = sample_of(505, 12, (40, 40))
+    spec = predefined_hypothesis("equal", COVARIANCE, 2, 12)
+    Bbt = 60_000
+    est = pool_estimates(sample, include_correlation=False)
+    c = _contrast(spec, est)
+    w = _gram_spectrum(c.G)
+    spectra = [_gram_spectrum(K_i) for K_i in c.K]
+    mu = np.concatenate([s / (n_i - 1) for n_i, s in zip(est.n, spectra)])
+    df = np.concatenate([np.full(len(s), n_i - 1.0) for n_i, s in zip(est.n, spectra)])
+    assert len(w) == len(mu) == 78 and set(df) == {39.0}
+    assert Bbt * len(w) > 1 << 22 and Bbt * len(mu) > 1 << 22
+    new = bootstrap_reference(spec, est, Bbt, seed=16)
+    # the contract: one root stream; chi-square(1) numerator rows in
+    # blocks of 2**22 // len(w) over all B, then chi-square(df) denominator
+    # rows in blocks of 2**22 // len(mu)
+    rng = np.random.default_rng(np.random.SeedSequence(16))
+
+    def weighted(weights, dof):
+        step = (1 << 22) // len(weights)
+        return np.concatenate([
+            rng.chisquare(dof, size=(min(step, Bbt - lo), len(weights))) @ weights
+            for lo in range(0, Bbt, step)
+        ])
+
+    num = weighted(w, 1.0)
+    expect = num / weighted(mu, df)
     assert new.tobytes() == expect.tobytes()
