@@ -26,7 +26,9 @@ returns MC's draws.
 
 Every engine draws all B repetitions from one generator rooted at the
 seed, in blocks of rows whose size depends only on the problem's
-dimensions, so a rerun with the same seed is byte-identical.
+dimensions, so a rerun with the same seed is byte-identical.  Each chi2_1
+variate is a squared standard normal; only BT's denominator goes through
+numpy's chi-square sampler.
 
 The three references take the hypothesis and the moment estimates only,
 never the raw sample.  ``run_test`` pools the sample once, unless the
@@ -48,10 +50,11 @@ from .hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
 
 _METHODS = ("MC", "BT", "TAY")
 
-# chi-square entries per block of draws in the weighted kernel; numpy fills
-# each block element by element in C order, so the variates for a given
-# seed do not depend on this size, though BLAS may round the weighted sums
-# of differently sized blocks apart in the last bit
+# variates per block of draws in the weighted kernel, normals for chi2_1
+# and gamma draws for BT's denominator; numpy fills each block element by
+# element in C order, so the variates for a given seed do not depend on
+# this size, though BLAS may round the weighted sums of differently sized
+# blocks apart in the last bit
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -81,13 +84,22 @@ def _row_blocks(B: int, width: int, elements: int):
 
 
 def _weighted_chisquare(
-    rng: np.random.Generator, B: int, weights: np.ndarray, df=1.0
+    rng: np.random.Generator, B: int, weights: np.ndarray, df: np.ndarray | None = None
 ) -> np.ndarray:
-    """B draws of sum_k weights[k] chi2_{df[k]}; ``df`` is a scalar or one
-    value per weight."""
+    """B draws of sum_k weights[k] chi2_{df[k]}, ``df`` one value per weight.
+
+    ``df`` None means chi2_1 throughout, drawn as squared standard normals:
+    the same law as numpy's gamma sampler at shape 1/2, at a fraction of
+    its cost.  A ``df`` array goes to ``rng.chisquare``.
+    """
     out = np.empty(B)
     for lo, hi in _row_blocks(B, len(weights), _CHUNK_ELEMENTS):
-        out[lo:hi] = rng.chisquare(df, size=(hi - lo, len(weights))) @ weights
+        if df is None:
+            z = rng.standard_normal((hi - lo, len(weights)))
+            z *= z
+        else:
+            z = rng.chisquare(df, size=(hi - lo, len(weights)))
+        out[lo:hi] = z @ weights
     return out
 
 

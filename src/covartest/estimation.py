@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import vech, vech_pairs, vech_strict
+from .linalg import full_length, vech, vech_pairs, vech_strict
 
 
 @dataclass(frozen=True)
@@ -180,10 +180,16 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     V = Xc @ Xc.T / (n - 1)
     _check_in_range(V, "covariance")
     vhat = vech(V)
-    rows, cols = vech_pairs(d)
-    W = Xc[rows] * Xc[cols]
+    # W's rows are the products Xc[j] * Xc[k], j <= k, in vech order,
+    # written row slice by row slice without copying Xc
+    p = full_length(d)
+    W = np.empty((p, n))
+    lo = 0
+    for j in range(d):
+        np.multiply(Xc[j], Xc[j:], out=W[lo:lo + d - j])
+        lo += d - j
     W -= W.mean(axis=1, keepdims=True)
-    if n <= len(rows):
+    if n <= p:
         F = W / np.sqrt(n - 1)
     else:
         G = W @ W.T / (n - 1)

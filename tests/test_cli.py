@@ -442,7 +442,7 @@ class TestRuns:
             "Groups:      2 (n = 30, 35)\n"
             "Hypothesis:  equal\n"
             "Statistic:   1.4071\n"
-            "p-value:     p = 0.205\n"
+            "p-value:     p = 0.185\n"
             "Method:      MC, B = 600\n"
             "Seed:        7\n",
         ),

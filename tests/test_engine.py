@@ -398,11 +398,12 @@ class TestSeeds:
         ("TAY", CORRELATION, "equal-correlated"),
     ])
     def test_variates_do_not_depend_on_the_block_size(self, rng, monkeypatch, method, target, name):
-        # numpy fills chi-square variates element by element in C order, with
-        # one df for all weights (MC, TAY, BT numerator) or one per weight
-        # (BT denominator), so one block of 700 rows and 700 blocks of one
-        # row draw the same variates; BLAS sums a block's rows with kernels
-        # that depend on its row count, so the draws agree to rounding
+        # numpy fills standard normals (MC, TAY, BT numerator) and
+        # chi-square variates with one df per weight (BT denominator)
+        # element by element in C order, so one block of 700 rows and 700
+        # blocks of one row draw the same variates; BLAS sums a block's rows
+        # with kernels that depend on its row count, so the draws agree to
+        # rounding
         est = pool_estimates(two_group_sample(rng), include_correlation=True)
         spec = predefined_hypothesis(name, target, 2, 3)
         reference = {"MC": mc_reference, "BT": bootstrap_reference, "TAY": taylor_reference}[method]
@@ -414,6 +415,10 @@ class TestSeeds:
             class Recording:
                 def __init__(self, seed):
                     self.rng = root_rng(seed)
+
+                def standard_normal(self, size):
+                    variates.append(self.rng.standard_normal(size))
+                    return variates[-1]
 
                 def chisquare(self, df, size):
                     variates.append(self.rng.chisquare(df, size=size))

@@ -358,6 +358,27 @@ class TestPooling:
         assert est.vhat_pooled.shape == (12,)
         assert est.rhat_pooled.shape == (6,)
 
+    def test_factor_keeps_the_fancy_indexed_bytes(self, rng):
+        # W is written from row slices of the centred data; F must keep the
+        # bytes of the outer products taken by fancy indexing, on a group
+        # narrower than p = 21 (F = W / sqrt(n - 1)) and on a wider one
+        # (F from the eigenvectors of W W^T / (n - 1))
+        groups = (rng.standard_normal((6, 12)), rng.standard_normal((6, 60)))
+        est = pool_estimates(GroupedSample(groups), include_correlation=False)
+        rows, cols = np.triu_indices(6)
+        for X, F in zip(groups, est.Sigma_factor):
+            n = X.shape[1]
+            Xc = X - X.mean(axis=1, keepdims=True)
+            W = Xc[rows] * Xc[cols]
+            W -= W.mean(axis=1, keepdims=True)
+            if n <= len(rows):
+                expect = W / np.sqrt(n - 1)
+            else:
+                w, Q = np.linalg.eigh(W @ W.T / (n - 1))
+                expect = Q[:, w > 0.0] * np.sqrt(w[w > 0.0])
+            assert F.shape == expect.shape
+            assert F.tobytes() == expect.tobytes()
+
     def test_half_vectors_are_read_only(self, rng):
         # vech and vech_strict hand out read-only half-vectors
         est = pool_estimates(GroupedSample((rng.standard_normal((3, 10)),)))

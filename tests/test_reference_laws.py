@@ -8,8 +8,13 @@ covariance, not one per contrast row as the dense loop does, so its law is
 compared the same way and its stream is pinned byte for byte on its own;
 so is BT's, whose numerator and denominator are drawn from one stream.
 TAY's draws ||G z||^2 / ||G||_F^2 have the MC law and come from MC's
-kernel, so for one seed they equal MC's draws byte for byte.
+kernel, so for one seed they equal MC's draws byte for byte.  The
+benchmark's oracle (``perfbench/oracle.py``) holds the p-values of all
+three engines against the exact Imhof tails of their laws.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from covartest.engine import (
     _gram_spectrum,
     bootstrap_reference,
     mc_reference,
+    run_test,
     taylor_reference,
 )
 from covartest.estimation import GroupedSample, pool_estimates
@@ -38,6 +44,10 @@ from reference_loops import (
     simulate_reference_loop,
     taylor_reference_loop,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracle  # noqa: E402
+import workloads  # noqa: E402
 
 B = 10_000
 P_FLOOR = 1e-3
@@ -176,12 +186,12 @@ def test_mc_stream_is_pinned_across_a_chunk_boundary():
     new = mc_reference(spec, est, Bmc, seed=15)
     rerun = mc_reference(spec, pool_estimates(sample, include_correlation=False), Bmc, seed=15)
     assert new.tobytes() == rerun.tobytes()
-    # the contract: one root stream, chi-square(1) rows in blocks of
-    # 2**22 // len(lam)
+    # the contract: one root stream, chi-square(1) rows drawn as squared
+    # standard normals in blocks of 2**22 // len(lam)
     rng = np.random.default_rng(np.random.SeedSequence(15))
     step = (1 << 22) // len(lam)
     expect = np.concatenate([
-        rng.chisquare(1.0, size=(min(step, Bmc - lo), len(lam))) @ lam
+        rng.standard_normal((min(step, Bmc - lo), len(lam))) ** 2 @ lam
         for lo in range(0, Bmc, step)
     ])
     assert new.tobytes() == expect.tobytes()
@@ -203,18 +213,40 @@ def test_bt_stream_is_pinned_across_a_chunk_boundary():
     assert len(w) == len(mu) == 78 and set(df) == {39.0}
     assert Bbt * len(w) > 1 << 22 and Bbt * len(mu) > 1 << 22
     new = bootstrap_reference(spec, est, Bbt, seed=16)
-    # the contract: one root stream; chi-square(1) numerator rows in
-    # blocks of 2**22 // len(w) over all B, then chi-square(df) denominator
-    # rows in blocks of 2**22 // len(mu)
+    # the contract: one root stream; chi-square(1) numerator rows drawn as
+    # squared standard normals in blocks of 2**22 // len(w) over all B,
+    # then chi-square(df) denominator rows in blocks of 2**22 // len(mu)
     rng = np.random.default_rng(np.random.SeedSequence(16))
 
-    def weighted(weights, dof):
+    def weighted(weights, draw):
         step = (1 << 22) // len(weights)
         return np.concatenate([
-            rng.chisquare(dof, size=(min(step, Bbt - lo), len(weights))) @ weights
+            draw((min(step, Bbt - lo), len(weights))) @ weights
             for lo in range(0, Bbt, step)
         ])
 
-    num = weighted(w, 1.0)
-    expect = num / weighted(mu, df)
+    num = weighted(w, lambda size: rng.standard_normal(size) ** 2)
+    expect = num / weighted(mu, lambda size: rng.chisquare(df, size=size))
     assert new.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("method, shape, Bref", [
+    ("MC", (2, 6, 60), 2000),
+    ("TAY", (2, 6, 60), 2000),
+    ("BT", (2, 6, 60), 2000),
+    ("BT", (2, 12, 200), 500),
+    ("MC", (3, 40, 100), 1000),
+], ids=["MC-sim_small", "TAY-sim_small", "BT-sim_small", "BT-d12", "MC-d40"])
+def test_pvalues_match_the_exact_tail(method, shape, Bref, seed):
+    # the benchmark's correctness gate: the statistic to 1e-9 relative, the
+    # echoed fields, and the p-value on the 1/B grid within 5 sigma + 1/B
+    # of the Imhof tail of the engine's law, on the benchmark's null samples
+    sample = workloads.null_sample(np.random.default_rng(seed), shape)
+    a, d, _ = shape
+    target = CORRELATION if method == "TAY" else COVARIANCE
+    name = "equal-correlated" if method == "TAY" else "equal"
+    spec = predefined_hypothesis(name, target, a, d)
+    report = run_test(GroupedSample(sample.groups), spec, method=method, repetitions=Bref, seed=seed)
+    expect = sample.correlation if method == "TAY" else sample.covariance
+    assert oracle.check_test(report, expect, method, Bref, seed) == []
