@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .combined import combined_test
+from .combined import _check_layout, combined_test
 from .engine import run_test, statistic_covariance
 from .estimation import GroupedSample, pool_estimates
 from .hypotheses import (
@@ -326,16 +326,11 @@ def _render(title: str, rows: dict, payload: dict, output: str) -> str:
 
 def _hypothesis(args: argparse.Namespace, sample: GroupedSample) -> HypothesisSpec | None:
     """The null the flags name for this sample; None for the combined test."""
-    if args.target == "combined":
-        if sample.a != 2:
-            raise ConfigError(
-                f"the combined test requires exactly two groups, got {sample.a}"
-            )
-        if sample.d < 2:
-            raise ConfigError("the combined test requires d >= 2")
-        return None
     base_target = COVARIANCE if args.target.startswith("covariance") else CORRELATION
     try:
+        if args.target == "combined":
+            _check_layout(sample.a, sample.d)
+            return None
         if args.target.endswith("-structure"):
             if sample.a != 1:
                 raise ConfigError(

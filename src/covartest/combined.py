@@ -45,11 +45,16 @@ from .linalg import vech_diag_positions
 _FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
-def _check_estimates(est: MomentEstimates) -> None:
-    if est.a != 2:
-        raise ValueError(f"the combined test requires exactly two groups, got {est.a}")
-    if est.d < 2:
+def _check_layout(a: int, d: int) -> None:
+    """The combined test compares two groups of at least two variables."""
+    if a != 2:
+        raise ValueError(f"the combined test requires exactly two groups, got {a}")
+    if d < 2:
         raise ValueError("the combined test requires d >= 2")
+
+
+def _check_estimates(est: MomentEstimates) -> None:
+    _check_layout(est.a, est.d)
     if not est.has_correlation:
         raise ValueError("estimates lack correlation components")
 

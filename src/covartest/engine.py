@@ -167,13 +167,13 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
     else:
         # a transformed null's C acts on f(theta) and is linearized by J(theta)
         f = theta if spec.transform is None else spec.transform.map(theta)
-        if len(f) != spec.C.shape[1]:
+        if len(f) != spec.dense.shape[1]:
             raise ValueError(
                 f"the transform maps theta to {len(f)} coordinates "
-                f"but C has {spec.C.shape[1]} columns"
+                f"but C has {spec.dense.shape[1]} columns"
             )
-        u = spec.C @ f
-        E = spec.C if spec.transform is None else spec.C @ spec.transform.jacobian(theta)
+        u = spec.dense @ f
+        E = spec.dense if spec.transform is None else spec.dense @ spec.transform.jacobian(theta)
         blocks = (E[:, i * dim:(i + 1) * dim] @ F for i, F in enumerate(factors))
         e_max = np.abs(E).max()
     widths = [F.shape[1] for F in factors]

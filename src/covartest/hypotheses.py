@@ -27,6 +27,7 @@ the group counts it accepts: exactly one, at least two, or any.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,16 +62,18 @@ class TransformSpec:
 class HypothesisSpec:
     """One testable null C f(theta) = zeta for a given target and layout.
 
-    A spec given ``factors`` (A, B) instead of C has C = A kron B, where B
-    None stands for the identity on one group's half-vector.  It keeps A
-    and B as given and builds C on the first read of ``spec.C``, then
-    keeps that C; the engines work on the factors and never read it.
-    Specs compare by identity, and their repr leaves C out.
+    A spec stores either its contrast matrix as ``dense`` or the pair
+    ``factors`` (A, B) with C = A kron B, where B None stands for the
+    identity on one group's half-vector; the engines work on what it
+    stores.  ``spec.C`` is built on its first read and then kept, so
+    ``dataclasses.replace``, ``asdict`` and ``copy`` build no C.  A
+    ``zeta`` of None means the zero vector.  Specs compare by identity,
+    and their repr leaves the contrast out.
     """
 
     target: str
-    C: np.ndarray | None = field(repr=False)
-    zeta: np.ndarray
+    dense: np.ndarray | None = field(repr=False)
+    zeta: np.ndarray | None
     label: str
     a: int
     d: int
@@ -84,10 +87,9 @@ class HypothesisSpec:
             raise ValueError(f"group count must be positive, got {self.a}")
         if self.d < 1:
             raise ValueError(f"dimension must be positive, got {self.d}")
-        zeta = np.asarray(self.zeta, dtype=float).ravel()
         if self.factors is None:
-            parts = [np.asarray(self.C, dtype=float)]
-        elif self.C is not None or self.transform is not None:
+            parts = [np.asarray(self.dense, dtype=float)]
+        elif self.dense is not None or self.transform is not None:
             raise ValueError("factors replace C and take no transform")
         else:
             A, B = self.factors
@@ -101,6 +103,7 @@ class HypothesisSpec:
             if P.shape[0] < 1:
                 raise ValueError("C needs at least one row")
             rows, cols = rows * P.shape[0], cols * P.shape[1]
+        zeta = np.zeros(rows) if self.zeta is None else np.asarray(self.zeta, dtype=float).ravel()
         if not all(np.all(np.isfinite(P)) for P in parts) or not np.all(np.isfinite(zeta)):
             raise ValueError("C and zeta must be finite")
         # a row of A kron B is zero exactly when its row of A or of B is
@@ -121,22 +124,18 @@ class HypothesisSpec:
                 f"zeta has length {len(zeta)} but C has {rows} rows"
             )
         if self.factors is None:
-            object.__setattr__(self, "C", parts[0])
+            object.__setattr__(self, "dense", parts[0])
         else:
             object.__setattr__(self, "factors", (parts[0], parts[1] if len(parts) == 2 else None))
-            object.__delattr__(self, "C")  # built by __getattr__ on first read
         object.__setattr__(self, "zeta", zeta)
 
-    def __getattr__(self, name: str):
-        # reached only when normal lookup fails, as for a factored spec's
-        # C before its first read
-        factors = self.__dict__.get("factors")
-        if name != "C" or factors is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        A, B = factors
-        C = np.kron(A, np.eye(self.base_dim) if B is None else B)
-        object.__setattr__(self, "C", C)
-        return C
+    @cached_property
+    def C(self) -> np.ndarray:
+        """The contrast matrix: ``dense`` itself, or A kron B built once."""
+        if self.factors is None:
+            return self.dense
+        A, B = self.factors
+        return np.kron(A, np.eye(self.base_dim) if B is None else B)
 
     @property
     def base_dim(self) -> int:
@@ -245,15 +244,8 @@ def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:
     C = np.zeros((lin.shape[0] + ratio_diffs.shape[0], q + d - 1))
     C[: lin.shape[0], :q] = lin
     C[lin.shape[0]:, q:] = ratio_diffs
-    return HypothesisSpec(
-        target=target,
-        C=C,
-        zeta=np.zeros(C.shape[0]),
-        label=label,
-        a=1,
-        d=d,
-        transform=_ratio_transform(lags, d),
-    )
+    return HypothesisSpec(target=target, dense=C, zeta=None, label=label, a=1, d=d,
+                          transform=_ratio_transform(lags, d))
 
 
 _RATIOS = "fewer than two subdiagonal ratios leave nothing to compare"
@@ -304,9 +296,8 @@ def structure_hypothesis(name: str, target: str, d: int) -> HypothesisSpec:
         )
     if rows is None:
         return _autoregressive_spec(target, d, canonical)
-    C = rows(_lags(target, d))
     return HypothesisSpec(
-        target=target, C=C, zeta=np.zeros(C.shape[0]), label=canonical, a=1, d=d
+        target=target, dense=rows(_lags(target, d)), zeta=None, label=canonical, a=1, d=d
     )
 
 
@@ -337,7 +328,8 @@ def predefined_hypothesis(
         raise ValueError(f"hypothesis {name!r} is only defined for one group")
     if groups == "several" and a < 2:
         raise ValueError(f"hypothesis {name!r} needs at least two groups")
-    q = full_length(d) if target == COVARIANCE else strict_length(d)
+    lags = _lags(target, d)
+    q = len(lags)
     C = zeta = factors = None
 
     if name in ("equal", "equal-correlated") and a > 1:
@@ -345,7 +337,6 @@ def predefined_hypothesis(
     elif name == "equal":
         if d < 2:
             raise ValueError("hypothesis 'equal' with one group needs d >= 2")
-        lags = _lags(target, d)
         C = _rows(lags, [lags == 0])
     elif name == "equal-correlated":
         if q < 2:
@@ -357,14 +348,13 @@ def predefined_hypothesis(
     elif name == "uncorrelated":
         if d < 2:
             raise ValueError("hypothesis 'uncorrelated' needs d >= 2")
-        C = _uncorrelated_rows(_lags(target, d))
+        C = _uncorrelated_rows(lags)
     elif name == "given-trace":
         if extra is None:
             raise ValueError("hypothesis 'given-trace' needs the target trace")
         gamma = float(extra)
         if not np.isfinite(gamma) or gamma <= 0.0:
             raise ValueError(f"the target trace must be positive, got {extra!r}")
-        lags = _lags(target, d)
         C = _rows(lags, zero=lags == 0).sum(axis=0, keepdims=True)
         zeta = np.array([gamma])
     elif name == "given-matrix":
@@ -378,20 +368,14 @@ def predefined_hypothesis(
     else:  # equal-trace, equal-diagonals
         # group i minus group i + 1 on the diagonal entries, or on
         # their sum for the trace
-        lags = _lags(target, d)
         diag_rows = _rows(lags, zero=lags == 0)
         if name == "equal-trace":
             diag_rows = diag_rows.sum(axis=0, keepdims=True)
         factors = (_difference_rows(a, np.arange(a)), diag_rows)
 
-    if factors is not None:
-        A, B = factors
-        zeta = np.zeros(len(A) * (q if B is None else len(B)))
-    elif zeta is None:
-        zeta = np.zeros(C.shape[0])
-    return HypothesisSpec(target=target, C=C, zeta=zeta, label=name, a=a, d=d, factors=factors)
+    return HypothesisSpec(target=target, dense=C, zeta=zeta, label=name, a=a, d=d, factors=factors)
 
 
 def custom_hypothesis(C, zeta, target: str, a: int, d: int) -> HypothesisSpec:
-    """User-supplied contrast matrix and right-hand side, validated for shape."""
-    return HypothesisSpec(target=target, C=C, zeta=zeta, label="custom", a=a, d=d)
+    """User-supplied contrast matrix and right-hand side (None for zeros), validated for shape."""
+    return HypothesisSpec(target=target, dense=C, zeta=zeta, label="custom", a=a, d=d)

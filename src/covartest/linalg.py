@@ -29,7 +29,7 @@ def _check_square_symmetric(S: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix entries must be finite, got NaN or inf")
     scale = np.max(np.abs(S)) if S.size else 0.0
-    if not np.allclose(S, S.T, rtol=1e-9, atol=1e-12 * max(scale, 1.0)):
+    if not np.allclose(S, S.T, rtol=1e-9, atol=1e-12 * scale):
         raise ValueError("matrix is not symmetric")
     return S
 

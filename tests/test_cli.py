@@ -492,6 +492,35 @@ class TestRuns:
         assert H.shape == (12, 12)
         assert_allclose(H, H.T, atol=0)
 
+    @pytest.mark.parametrize("flags, m", [
+        (["--target", "covariance", "--hypothesis", "equal", "--method", "MC"], 18),
+        (["--target", "covariance", "--hypothesis", "equal", "--method", "BT"], 18),
+        (["--target", "covariance", "--hypothesis", "equal-trace", "--method", "MC"], 2),
+        (["--target", "covariance", "--hypothesis", "equal-diagonals", "--method", "MC"], 6),
+        (["--target", "correlation", "--hypothesis", "equal-correlated", "--method", "TAY"], 9),
+        (["--target", "covariance", "--C", "C3.csv", "--zeta", "z3.csv"], 3),
+    ], ids=["equal-MC", "equal-BT", "equal-trace", "equal-diagonals", "equal-correlated-TAY",
+            "custom"])
+    def test_three_group_json_shape_and_rerun(self, tmp_path, capsys, monkeypatch, flags, m):
+        # three groups take the contrasts kept as Kronecker factors, and a
+        # custom C over all three the dense path: H is m x m either way,
+        # and a rerun prints the same bytes
+        rng = np.random.default_rng(3)
+        path = data_csv(tmp_path, [rng.standard_normal((3, n)) for n in (25, 30, 35)])
+        np.savetxt(tmp_path / "C3.csv", np.random.default_rng(4).standard_normal((3, 18)),
+                   delimiter=",")
+        np.savetxt(tmp_path / "z3.csv", np.zeros((3, 1)), delimiter=",")
+        monkeypatch.chdir(tmp_path)
+        argv = ["--data", path, "--group-column", "g", *flags, "--seed", "1", "--output", "json"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+        assert runs[0].err == ""
+        H = json.loads(runs[0].out)["statistic_covariance"]
+        assert len(H) == m and all(len(row) == m for row in H)
+
     @pytest.mark.parametrize("target", [
         ["--target", "covariance", "--hypothesis", "equal", "--output", "json"],
         ["--target", "combined", "--output", "json"],
@@ -1040,6 +1069,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("covartest: error: config: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_tiny_asymmetric_target_matrix_is_config_error(self, tmp_path, capsys):
+        # entries near 1e-15 are still checked for symmetry, not read as the
+        # upper triangle
+        path = one_group_file(tmp_path)
+        mpath = tmp_path / "V.csv"
+        V = 1e-15 * np.eye(3)
+        V[0, 1] = 1e-13
+        np.savetxt(mpath, V, delimiter=",")
+        code = main(["--data", path, "--target", "covariance", "--hypothesis", "given-matrix",
+                     "--matrix", str(mpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "covartest: error: config: matrix is not symmetric\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_target_matrix_is_one_config_line(self, tmp_path, bad):

@@ -84,7 +84,7 @@ class TestStatistic:
     def test_transformed_contrast_of_wrong_width(self, rng):
         # the ratio transform maps d = 3 covariances to 6 + 2 coordinates
         ar = structure_hypothesis("ar", COVARIANCE, 3)
-        spec = HypothesisSpec(target=COVARIANCE, C=ar.C[:, :-1], zeta=ar.zeta, label="short",
+        spec = HypothesisSpec(target=COVARIANCE, dense=ar.C[:, :-1], zeta=ar.zeta, label="short",
                               a=1, d=3, transform=ar.transform)
         est = pool_estimates(GroupedSample((rng.standard_normal((3, 40)),)))
         with pytest.raises(ValueError, match="maps theta to 8 coordinates but C has 7 columns"):

@@ -11,6 +11,7 @@ the dense matrices unbuilt and never take an eigendecomposition wider than
 the sample when n_i <= p.
 """
 
+import dataclasses
 import io
 import tracemalloc
 from contextlib import redirect_stdout
@@ -37,6 +38,8 @@ from covartest.estimation import (
 from covartest.hypotheses import (
     CORRELATION,
     COVARIANCE,
+    PREDEFINED,
+    STRUCTURES,
     HypothesisSpec,
     custom_hypothesis,
     predefined_hypothesis,
@@ -196,7 +199,7 @@ class TestFactoredSpec:
     def spec(self, A, B, zeta=None):
         q = 6  # covariance, d = 3
         m = len(A) * (q if B is None else len(B))
-        return HypothesisSpec(target=COVARIANCE, C=None, zeta=np.zeros(m) if zeta is None else zeta,
+        return HypothesisSpec(target=COVARIANCE, dense=None, zeta=np.zeros(m) if zeta is None else zeta,
                               label="factored", a=A.shape[1], d=3, factors=(A, B))
 
     def test_m_without_building_C(self):
@@ -210,6 +213,32 @@ class TestFactoredSpec:
             assert "C" not in vars(spec)
             assert spec.C is spec.C
             assert spec.C.shape == (m, 18)
+
+    def test_replace_and_asdict_build_no_C(self):
+        spec = predefined_hypothesis("equal", COVARIANCE, 3, 4)
+        again = dataclasses.replace(spec, label="x")
+        assert again.label == "x" and again.factors[0] is spec.factors[0]
+        assert "C" not in vars(spec) and "C" not in vars(again)
+        dataclasses.asdict(spec)
+        assert "C" not in vars(spec)
+        sample = sample_of(6, 4, (20, 25, 30))
+        first, second = (run_test(sample, s, repetitions=500, seed=1).statistic for s in (spec, again))
+        assert first == second
+
+    def test_zeta_none_means_zeros(self):
+        a_for = {"one": (1,), "several": (3,), "any": (1, 3)}
+        specs = [
+            predefined_hypothesis(name, target, a, 4)
+            for target, table in PREDEFINED.items()
+            for name, groups in table.items() if not name.startswith("given-")
+            for a in a_for[groups]
+        ]
+        specs += [structure_hypothesis(name, target, 4)
+                  for target, table in STRUCTURES.items() for name in table]
+        specs.append(custom_hypothesis(np.ones((2, 6)), None, COVARIANCE, 1, 3))
+        for spec in specs:
+            assert spec.zeta.dtype == float
+            assert np.array_equal(spec.zeta, np.zeros(spec.C.shape[0])), spec.label
 
     def test_validation_messages(self):
         A = np.array([[1.0, -1.0]])
@@ -230,10 +259,10 @@ class TestFactoredSpec:
         # cols(A) cols(B) = 12 = a q, split wrongly between the factors
         for A_bad, B_bad in ((np.ones((1, 1)), np.ones((2, 12))), (np.ones((1, 4)), np.ones((2, 3)))):
             with pytest.raises(ValueError, match=f"factor A has {A_bad.shape[1]} columns but a=2 needs 2"):
-                HypothesisSpec(target=COVARIANCE, C=None, zeta=np.zeros(2), label="split",
+                HypothesisSpec(target=COVARIANCE, dense=None, zeta=np.zeros(2), label="split",
                                a=2, d=3, factors=(A_bad, B_bad))
         with pytest.raises(ValueError, match="factors replace C and take no transform"):
-            HypothesisSpec(target=COVARIANCE, C=np.ones((6, 12)), zeta=np.zeros(6), label="both",
+            HypothesisSpec(target=COVARIANCE, dense=np.ones((6, 12)), zeta=np.zeros(6), label="both",
                            a=2, d=3, factors=(A, None))
 
 

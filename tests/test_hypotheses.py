@@ -434,14 +434,14 @@ class TestCustomSpec:
         with pytest.raises(ValueError, match="finite"):
             custom_hypothesis(np.array([[np.inf, 0, 0]]), [0.0], COVARIANCE, 1, 2)
         with pytest.raises(ValueError, match="target"):
-            HypothesisSpec(target="precision", C=np.eye(3), zeta=np.zeros(3), label="x", a=1, d=2)
+            HypothesisSpec(target="precision", dense=np.eye(3), zeta=np.zeros(3), label="x", a=1, d=2)
         with pytest.raises(ValueError, match="two-dimensional"):
             custom_hypothesis(np.ones(3), [0.0], COVARIANCE, 1, 2)
 
     def test_arrays_stored_uncopied(self):
         # a predefined contrast and a caller's float arrays are kept as given
         spec = predefined_hypothesis("equal", COVARIANCE, 3, 4)
-        again = HypothesisSpec(target=COVARIANCE, C=spec.C, zeta=spec.zeta, label="equal", a=3, d=4)
+        again = HypothesisSpec(target=COVARIANCE, dense=spec.C, zeta=spec.zeta, label="equal", a=3, d=4)
         assert again.C is spec.C
         assert np.shares_memory(again.zeta, spec.zeta)
         C = np.array(spec.C)

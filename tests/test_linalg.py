@@ -70,6 +70,15 @@ class TestVech:
         with pytest.raises(ValueError, match="not symmetric"):
             vech(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-15])
+    def test_symmetry_check_is_relative_at_every_scale(self, scale):
+        # the tolerance follows the largest entry, however small it is
+        with pytest.raises(ValueError, match="not symmetric"):
+            vech(scale * np.array([[1.0, 100.0], [0.0, 1.0]]))
+        assert_array_equal(vech(scale * np.array([[1.0, 100.0], [100.0, 1.0]])),
+                           scale * np.array([1.0, 100.0, 1.0]))
+        assert_array_equal(vech(np.zeros((2, 2))), np.zeros(3))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             vech(np.ones((2, 3)))
