@@ -15,12 +15,12 @@ order-statistic quantiles of the draws.  Rejection of a block (the
 variance part or the correlation part) is inverted into a p-value on the
 grid of steps 1/B, and the global p-value is the smaller of the two.
 One rule, whether a vector leaves the band of grid level k, and one
-bisection for the first such k give both: beta is one step below the
-first level at which more than alpha B draws leave, and a block's p-value
-is the share of draws that leave at the first level the statistic's block
-leaves, 1 where it never does.  The statistic and the reference take the
-moment estimates only; ``combined_test`` pools the sample once and passes
-the estimates to both.
+search from the bottom for the first such k, in at most 2 ceil(log2(k + 2))
+band passes, give both: beta is one step below the first level at which
+more than alpha B draws leave, and a block's p-value is the share of draws
+that leave at the first level the statistic's block leaves, 1 where it
+never does.  The statistic and the reference take the moment estimates
+only; ``combined_test`` pools the sample once and passes them to both.
 """
 
 from __future__ import annotations
@@ -119,10 +119,14 @@ def _outside(srt: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
 def _first_level(outside, n: int) -> int:
     """Smallest level k < n at which ``outside(k)`` holds, or n where it
     never does.  The bands shrink as k grows, so a vector outside at level
-    k stays outside above it and the search may bisect."""
-    lo, hi = 0, n
+    k stays outside above it.  Answers are usually low, so the search probes
+    levels 0, 1, 3, 7, ... until ``outside`` holds or n is passed, then
+    bisects the last gap: at most 2 ceil(log2(k + 2)) probes (Bentley-Yao)."""
+    lo, probe = 0, 0
+    while probe < n and not outside(probe):
+        lo, probe = probe + 1, 2 * probe + 1
+    hi = min(probe, n)
     while lo < hi:
-        # the lower midpoint gives low levels, the usual answers, short paths
         mid = (lo + hi - 1) // 2
         if outside(mid):
             hi = mid
@@ -148,6 +152,11 @@ def calibrate_beta(
     B = draws.shape[0]
     if srt is None:
         srt = np.sort(draws, axis=0)
+    elif srt.shape != draws.shape:
+        raise ValueError(f"srt must be draws sorted, shape {draws.shape}, got {srt.shape}")
+    # sorting puts NaN last and infinities at the ends: two rows hold them all
+    if not np.isfinite(srt[[0, -1]]).all():
+        raise ValueError("draws must be finite")
     # beta is j/B with j + 1 the first level that rejects too often; no
     # draw leaves the level-0 band, the range of the draws, so j + 1 >= 1
     j = _first_level(lambda j: _outside(srt, draws, j + 1).sum() > alpha * B, B - 1)
@@ -200,7 +209,10 @@ def combined_test(
         _first_level(lambda k: _outside(srt[:, block], T[block], k), B)
         for block in (slice(None, d), slice(d, None))
     ]
-    p_var, p_corr = (1.0 if k == B else int(_outside(srt, draws, k).sum()) / B for k in exits)
+    # no draw leaves the level-0 band, the range of the draws
+    p_var, p_corr = (
+        int(_outside(srt, draws, k).sum()) / B if 0 < k < B else float(k == B) for k in exits
+    )
     return CombinedReport(
         statistic=T,
         beta_tilde=beta_tilde,

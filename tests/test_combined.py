@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -153,6 +156,57 @@ class TestBands:
                     first = _first_level(lambda k: _outside(srt[:, i:j], T[i:j], k), B)
                     assert first == expect[i:j].min(), (i, j)
 
+    def test_search_from_the_bottom_finds_every_answer_within_its_probe_bound(self):
+        # a monotone predicate first true at a (never, where a = n): the
+        # search returns a, probes only levels in [0, n), and makes at most
+        # 2 ceil(log2(a + 2)) probes, one for a = 0 at any n
+        for n in range(257):
+            for a in range(n + 1):
+                probes = []
+
+                def outside(k):
+                    probes.append(k)
+                    return k >= a
+
+                assert _first_level(outside, n) == a, (n, a)
+                assert all(0 <= k < n for k in probes), (n, a, probes)
+                assert len(probes) <= 2 * math.ceil(math.log2(a + 2)), (n, a, probes)
+
+    @pytest.mark.parametrize("seed, scale2", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 3.0)])
+    def test_many_components_match_a_scan_of_every_level(self, seed, scale2):
+        # d = 20 gives P = 210 components: level 1 already rejects many
+        # draws, so beta is 0 at small alpha and blocks exit at level 0;
+        # every answer is checked against a scan of all B grid levels
+        rng = np.random.default_rng(seed)
+        d, B = 20, 300
+        sample = two_groups(rng, d=d, n=(60, 60), scale2=scale2)
+        est = pool_estimates(sample)
+        draws = simulate_reference(est, B=B, seed=seed)
+        assert draws.shape == (B, 210)
+        T = combined_statistic(est)
+        bands = [reference_bands(draws, k / B) for k in range(B)]
+        rates = [calibration_rejection_rate(draws, k / B) for k in range(B)]
+        for alpha in (0.0, 0.01, 0.05, 0.2, 0.5):
+            k = max(k for k, rate in enumerate(rates) if rate <= alpha)
+            assert calibrate_beta(draws, alpha) == k / B, alpha
+        srt = np.sort(draws, axis=0)
+        exits = []
+        for block in (slice(None, d), slice(d, None)):
+            exits.append(next(
+                (k for k, (lo, hi) in enumerate(bands)
+                 if np.any((T[block] < lo[block]) | (T[block] > hi[block]))),
+                B,
+            ))
+            assert _first_level(lambda k: _outside(srt[:, block], T[block], k), B) == exits[-1]
+        if scale2 > 1.0:
+            assert exits[0] == 0  # the variance block leaves the draws' range
+        expect_p = tuple(1.0 if k == B else rates[k] for k in exits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # B < 500 is coarse
+            rep = combined_test(sample, repetitions=B, seed=seed)
+        assert (rep.p_variances, rep.p_correlations) == expect_p
+        assert rep.beta_tilde == calibrate_beta(draws, 0.05)
+
 
 class TestCalibration:
     def test_single_component_recovers_alpha(self, rng):
@@ -210,6 +264,24 @@ class TestCalibration:
             calibrate_beta(draws, alpha=1.0)
         with pytest.raises(ValueError, match="alpha"):
             calibrate_beta(draws, alpha=-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_refused(self, rng, bad):
+        draws = rng.standard_normal((100, 3))
+        draws[37, 1] = bad
+        with pytest.raises(ValueError, match="draws must be finite"):
+            calibrate_beta(draws, alpha=0.05)
+        with pytest.raises(ValueError, match="draws must be finite"):
+            calibrate_beta(draws, alpha=0.05, srt=np.sort(draws, axis=0))
+        with pytest.raises(ValueError, match="draws must be finite"):
+            calibrate_beta(np.full((100, 3), bad), alpha=0.05)
+
+    def test_srt_of_another_shape_refused(self, rng):
+        draws = rng.standard_normal((100, 3))
+        srt = np.sort(draws, axis=0)
+        for wrong in (srt[:50], srt[:, :2], srt.ravel()):
+            with pytest.raises(ValueError, match="srt must be draws sorted"):
+                calibrate_beta(draws, alpha=0.05, srt=wrong)
 
 
 class TestCombinedTest:
@@ -283,6 +355,28 @@ class TestCombinedTest:
             corr_reject = bool(np.any((T[d:] < lo[d:]) | (T[d:] > hi[d:])))
             assert var_reject == (rep.p_variances <= alpha)
             assert corr_reject == (rep.p_correlations <= alpha)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7, 151, 499, 500])
+    def test_block_pvalue_is_the_rate_at_its_exit_level(self, rng, monkeypatch, k):
+        # a statistic placed so that the variance block first leaves at
+        # level k (never, where k = B) and the correlation block never does:
+        # p_variances is the draws' rejection rate at level k, 1 at k = B
+        sample = two_groups(rng, d=4, n=(60, 60))
+        B, seed = 500, 3
+        draws = simulate_reference(pool_estimates(sample), B=B, seed=seed)
+        srt = np.sort(draws, axis=0)
+        T = srt[(B - 1) // 2].copy()  # the level-(B - 1) band is this one point
+        if k == 0:
+            T[0] = srt[-1, 0] + 1.0
+        elif k < B:
+            T[0] = srt[(B - 1) * (2 * B - k + 1) // (2 * B), 0]  # top of band k - 1
+        leaves = [np.any((T < lo) | (T > hi)) for lo, hi in
+                  (reference_bands(draws, j / B) for j in range(B))]
+        assert (leaves.index(True) if True in leaves else B) == k  # placed right
+        monkeypatch.setattr("covartest.combined.combined_statistic", lambda est: T)
+        rep = combined_test(sample, repetitions=B, seed=seed)
+        expect = 1.0 if k == B else calibration_rejection_rate(draws, k / B)
+        assert (rep.p_variances, rep.p_correlations) == (expect, 1.0)
 
     def test_rejects_three_groups(self, rng):
         sample = GroupedSample(tuple(rng.standard_normal((3, 15)) for _ in range(3)))
