@@ -1,13 +1,14 @@
 """Joint two-group test of equal variances and equal correlations.
 
 The statistic stacks the scaled differences of the d group variances and
-the d(d-1)/2 correlations.  Reference draws push per-group normal vectors
-on the covariance scale through the variance selector and the delta-method
-Jacobian M_i: each group's draw is a normal vector times the variance rows
-of the covariance factor F_i stacked on the stored correlation-scale
-factor M_i F_i.  All repetitions come from one generator rooted at the
-seed, a block of rows at a time, so a rerun with the same seed is
-byte-identical.
+the d(d-1)/2 correlations: the contrast [1, -1] kron I on the stacked
+half-vectors, whose per-group factors are the variance rows of the
+covariance factor F_i on top of the correlation-scale factor M_i F_i.
+The engine's contrast builder weights them, under the engine's trace rule,
+and each block of reference draws is Z_0 K_0^T + Z_1 K_1^T from its views
+K_i, with standard normal Z_i.  All repetitions come from one generator
+rooted at the seed, a block of rows at a time, so a rerun with the same
+seed is byte-identical.
 A single miscoverage level beta is calibrated so that the familywise
 rejection rate over all components, estimated on the reference draws
 themselves, stays at the requested level; the componentwise bands are
@@ -31,13 +32,13 @@ import numpy as np
 
 from .engine import (
     _check_repetitions,
-    _check_trace,
+    _factored_contrast,
     _normalize_seed,
     _root_rng,
     _row_blocks,
     _warn_coarse,
 )
-from .estimation import GroupedSample, MomentEstimates, _jacobian_terms, pool_estimates
+from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .linalg import vech_diag_positions
 
 # array entries per m-wide temporary in a block of reference draws; the
@@ -73,36 +74,23 @@ def combined_statistic(est: MomentEstimates) -> np.ndarray:
 def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     """B reference draws of the combined statistic under the null.
 
-    Per repetition and group, a normal vector with the estimated
-    fourth-moment covariance is mapped to the variance/correlation scale by
-    the stacked selector and Jacobian, then the two groups are differenced
-    with their sqrt(N/n_i) weights.  Weighted factors whose total trace is
-    rounding residue, by the relative rule of the Anova-type statistic,
-    raise ``ValueError``.
+    Each group's normal vector on the covariance scale is mapped to the
+    variance/correlation scale by its stacked factor [F_i[diag]; M_i F_i],
+    through the views K_i of the engine's contrast; a contrast whose trace
+    is rounding residue, by the engine's relative rule, raises ``ValueError``.
     """
     _check_estimates(est)
     _check_repetitions(B)
     diag = vech_diag_positions(est.d)
-    # per group, the stacked selector and Jacobian A_i times the factor F_i
-    # is [F_i[diag]; M_i F_i], weighted by sqrt(N/n_i); a block of draws is
-    # Z_0 W_0^T - Z_1 W_1^T with standard normal Z_i
-    W = [
-        np.sqrt(est.N / n_i) * np.vstack([F[diag], U])
-        for n_i, F, U in zip(est.n, est.Sigma_factor, est.Upsilon_factor)
-    ]
-    # the rows of A_i are selector rows (entries 1) and Jacobian rows,
-    # whose nonzeros are the entries of _jacobian_terms
-    A_max = max(1.0, *(
-        np.abs(c).max()
-        for v, r in zip(est.vhat, est.rhat)
-        for _, c in _jacobian_terms(v[diag], r)
-    ))
-    _check_trace(sum(float(np.vdot(W_i, W_i)) for W_i in W), A_max, est.vhat_pooled)
+    theta = np.concatenate([np.concatenate([v[diag], r]) for v, r in zip(est.vhat, est.rhat)])
+    c = _factored_contrast(np.array([[1.0, -1.0]]), None, theta, [
+        np.vstack([F[diag], U]) for F, U in zip(est.Sigma_factor, est.Upsilon_factor)
+    ], est.n)
     rng = _root_rng(seed)
-    out = np.empty((B, W[0].shape[0]))
+    out = np.empty((B, c.G.shape[0]))
     for lo, hi in _row_blocks(B, out.shape[1], _FACTOR_CHUNK_ELEMENTS):
-        out[lo:hi] = rng.standard_normal((hi - lo, W[0].shape[1])) @ W[0].T
-        out[lo:hi] -= rng.standard_normal((hi - lo, W[1].shape[1])) @ W[1].T
+        out[lo:hi] = rng.standard_normal((hi - lo, c.K[0].shape[1])) @ c.K[0].T
+        out[lo:hi] += rng.standard_normal((hi - lo, c.K[1].shape[1])) @ c.K[1].T
     return out
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import secrets
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,7 +119,9 @@ def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
 
 
 def _check_trace(tr: float, e_max: float, theta: np.ndarray) -> None:
-    """``e_max`` is the largest absolute entry of the linearized contrast."""
+    """``e_max`` is the largest absolute entry of the linearized contrast at
+    the factors' own scale: a correlation-scale factor M_i F_i has taken in
+    the Jacobian M_i, so only C, linearized by a transform's J(theta), counts."""
     _check_in_range(tr, "statistic covariance")
     # an analytically zero estimator covariance leaves rounding residue of
     # order eps^2 relative to (|E| |theta|)^2, so the cutoff is relative,
@@ -147,23 +149,42 @@ class _Contrast:
     trace: float
 
 
+def _factored_contrast(A, B, theta: np.ndarray, factors, n: tuple[int, ...]) -> _Contrast:
+    """``theta`` and its per-group ``factors`` contrasted by C = A kron B,
+    B None the identity, without forming C or any of its blocks."""
+    # C theta is A Theta B^T read row by row, with row i of Theta group i's
+    # half-vector, and group i's block of C is column i of A kron B
+    u = A @ theta.reshape(len(factors), -1)
+    u = (u if B is None else u @ B.T).ravel()
+    blocks = (np.kron(A[:, [i]], F if B is None else B @ F) for i, F in enumerate(factors))
+    # max|A kron B| = max|A| max|B|, exactly: rounding is monotone
+    e_max = np.abs(A).max() * (1.0 if B is None else np.abs(B).max())
+    return _from_blocks(u, blocks, factors, n, e_max, theta)
+
+
+def _from_blocks(u, blocks, factors, n: tuple[int, ...], e_max: float, theta) -> _Contrast:
+    """The contrast whose G holds group i's entry of ``blocks`` times sqrt(N/n_i)."""
+    widths = [F.shape[1] for F in factors]
+    G = np.empty((len(u), sum(widths)))
+    K = tuple(np.split(G, np.cumsum(widths[:-1]), axis=1))
+    for K_i, block, n_i in zip(K, blocks, n):
+        # a zero of A times a negative entry is -0.0 where the dense
+        # product sums to +0.0; adding 0.0 keeps G's bytes
+        np.add(block, 0.0, out=K_i)
+        K_i *= np.sqrt(sum(n) / n_i)
+    trace = float(np.vdot(G, G))
+    _check_trace(trace, e_max, theta)
+    return _Contrast(u, K, G, trace)
+
+
 def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
     _check_compatible(spec, est)
     if spec.target == COVARIANCE:
         theta, factors = est.vhat_pooled, est.Sigma_factor
     else:
         theta, factors = est.rhat_pooled, est.Upsilon_factor
-    dim = len(theta) // est.a
     if spec.factors is not None:
-        # C = A kron B: C theta is A Theta B^T read row by row, with row i
-        # of Theta group i's half-vector, and group i's block of C is
-        # column i of A kron B; B None is the identity
-        A, B = spec.factors
-        u = A @ theta.reshape(est.a, dim)
-        u = (u if B is None else u @ B.T).ravel()
-        blocks = (np.kron(A[:, [i]], F if B is None else B @ F) for i, F in enumerate(factors))
-        # max|A kron B| = max|A| max|B|, exactly: rounding is monotone
-        e_max = np.abs(A).max() * (1.0 if B is None else np.abs(B).max())
+        c = _factored_contrast(*spec.factors, theta, factors, est.n)
     else:
         # a transformed null's C acts on f(theta) and is linearized by J(theta)
         f = theta if spec.transform is None else spec.transform.map(theta)
@@ -172,21 +193,11 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
                 f"the transform maps theta to {len(f)} coordinates "
                 f"but C has {spec.dense.shape[1]} columns"
             )
-        u = spec.dense @ f
         E = spec.dense if spec.transform is None else spec.dense @ spec.transform.jacobian(theta)
+        dim = len(theta) // est.a
         blocks = (E[:, i * dim:(i + 1) * dim] @ F for i, F in enumerate(factors))
-        e_max = np.abs(E).max()
-    widths = [F.shape[1] for F in factors]
-    G = np.empty((spec.m, sum(widths)))
-    K = tuple(np.split(G, np.cumsum(widths[:-1]), axis=1))
-    for K_i, block, n_i in zip(K, blocks, est.n):
-        # a zero of A times a negative entry is -0.0 where the dense
-        # product sums to +0.0; adding 0.0 keeps G's bytes
-        np.add(block, 0.0, out=K_i)
-        K_i *= np.sqrt(est.N / n_i)
-    trace = float(np.vdot(G, G))
-    _check_trace(trace, e_max, theta)
-    return _Contrast(u - spec.zeta, K, G, trace)
+        c = _from_blocks(spec.dense @ f, blocks, factors, est.n, np.abs(E).max(), theta)
+    return replace(c, u=c.u - spec.zeta)
 
 
 def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:

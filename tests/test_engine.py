@@ -58,6 +58,25 @@ class TestStatistic:
         b = ats(spec, pool_estimates(GroupedSample((3.0 * X,))))
         assert_allclose(a, b, rtol=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="with n_i > d(d+1)/2 the factor F_i comes from eigh of the fourth-moment "
+        "Gram, accurate only relative to its largest entry; U_i = M_i F_i amplifies "
+        "that error by M_i's 1/v entries, so one variable at 2^-30 moves the statistic "
+        "0.14617 -> 0.00103 (p 0.923 -> 1.0); at 1e-100 the Gram's entries for that "
+        "variable underflow to 0, and the combined test's p_variances reads 0.0 "
+        "against 0.105 unscaled (ROADMAP item 18)",
+    )
+    def test_correlation_statistic_invariant_under_one_variables_units(self):
+        # correlations do not depend on the units of a variable
+        rng = np.random.default_rng(5)
+        groups = (rng.standard_normal((3, 30)), rng.standard_normal((3, 40)))
+        spec = predefined_hypothesis("equal-correlated", CORRELATION, 2, 3)
+        scaled = tuple(np.vstack([np.ldexp(X[:1], -30), X[1:]]) for X in groups)
+        a, b = (ats(spec, pool_estimates(GroupedSample(g))) for g in (groups, scaled))
+        assert_allclose(a, 0.14617, rtol=1e-4)
+        assert_allclose(b, a, rtol=1e-8)
+
     def test_invariant_under_observation_order(self, rng):
         X = rng.standard_normal((3, 30))
         spec = predefined_hypothesis("equal", COVARIANCE, 1, 3)
