@@ -16,13 +16,13 @@ of group i's fourth-moment covariance (M_i F_i on the correlation scale)
 and E_i the contrast block of group i, the contrasted factor
 G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T.  For a
 contrast kept as C = A kron B, E_i F_i is column i of A kron (B F_i), so
-neither C nor any of its blocks is formed.  G is formed once, each
-group's block written straight into its columns, and the blocks BT reads
-per group are column views of G.  The trace is ||G||_F^2.  ``_law`` reads
-every engine's reference law off G and its blocks, keeping only the
-nonzero eigenvalues of the smaller Gram matrices.  TAY's draws
-||G z||^2 / ||G||_F^2 follow exactly the MC law, so for the same seed TAY
-returns MC's draws.
+the contrast keeps A and the products P_i = B F_i (E_i F_i under a row of
+ones for a dense C); neither C nor G is formed unless a caller reads G.
+The trace ||G||_F^2 is summed group by group.  ``_law`` reads every
+engine's law off the smaller Gram matrices: G^T G assembled from the
+blocks P_i^T P_j where G is taller than wide, and per group P_i's Gram.
+TAY's draws ||G z||^2 / ||G||_F^2 follow exactly the MC law, so for the
+same seed TAY returns MC's draws.
 
 Every engine draws all B repetitions from one generator rooted at the
 seed, in blocks of rows whose size depends only on the problem's
@@ -42,6 +42,7 @@ from __future__ import annotations
 import secrets
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -103,10 +104,13 @@ def _weighted_chisquare(
     return out
 
 
+def _nonzero(w: np.ndarray) -> np.ndarray:
+    return w[w > 1e-12 * w.max(initial=0.0)]
+
+
 def _gram_spectrum(A: np.ndarray) -> np.ndarray:
     """Nonzero eigenvalues of A @ A.T, taken from the smaller Gram matrix."""
-    w = np.linalg.eigvalsh(A.T @ A if A.shape[1] < A.shape[0] else A @ A.T)
-    return w[w > 1e-12 * w.max(initial=0.0)]
+    return _nonzero(np.linalg.eigvalsh(A.T @ A if A.shape[1] < A.shape[0] else A @ A.T))
 
 
 def _check_compatible(spec: HypothesisSpec, est: MomentEstimates) -> None:
@@ -136,17 +140,35 @@ def _check_trace(tr: float, e_max: float, theta: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _Contrast:
-    """One hypothesis contrasted against one set of estimates.
-
-    ``u`` is the residual C f(theta) - zeta and ``G`` the contrasted factor
-    [sqrt(N/n_i) E_i F_i], formed once; ``K`` holds G's column views, one
-    per group.  ``trace`` is ||G||_F^2, already checked against zero.
-    """
+    """One hypothesis contrasted against one set of estimates: ``u`` is the
+    residual C f(theta) - zeta, ``A`` C's rows across the groups (a row of
+    ones for a dense C) and ``P`` the per-group products P_i = B F_i (F_i
+    itself for B = I, E_i F_i for a dense C).  G = [sqrt(N/n_i) A[:, i] kron
+    P_i] and its per-group column views ``K`` are formed only when read;
+    ``trace`` is ||G||_F^2, already checked against zero."""
 
     u: np.ndarray
-    K: tuple[np.ndarray, ...]
-    G: np.ndarray
+    A: np.ndarray
+    P: tuple[np.ndarray, ...]
+    n: tuple[int, ...]
     trace: float
+
+    @cached_property
+    def K(self) -> tuple[np.ndarray, ...]:
+        widths = [P_i.shape[1] for P_i in self.P]
+        K = np.split(np.empty((len(self.u), sum(widths))), np.cumsum(widths[:-1]), axis=1)
+        for i, (K_i, P_i, n_i) in enumerate(zip(K, self.P, self.n)):
+            # row block r of K_i is A[r, i] P_i; splitting K_i's rows is a view
+            np.multiply(self.A[:, i, None, None], P_i, out=K_i.reshape(len(self.A), *P_i.shape))
+            # a zero of A times a negative entry is -0.0 where the dense
+            # product sums to +0.0; adding 0.0 keeps G's bytes
+            K_i += 0.0
+            K_i *= np.sqrt(sum(self.n) / n_i)
+        return tuple(K)
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.K[0].base  # the array that every view in K slices
 
 
 def _factored_contrast(A, B, theta: np.ndarray, factors, n: tuple[int, ...]) -> _Contrast:
@@ -156,25 +178,19 @@ def _factored_contrast(A, B, theta: np.ndarray, factors, n: tuple[int, ...]) -> 
     # half-vector, and group i's block of C is column i of A kron B
     u = A @ theta.reshape(len(factors), -1)
     u = (u if B is None else u @ B.T).ravel()
-    blocks = (np.kron(A[:, [i]], F if B is None else B @ F) for i, F in enumerate(factors))
+    P = tuple(factors) if B is None else tuple(B @ F for F in factors)
     # max|A kron B| = max|A| max|B|, exactly: rounding is monotone
     e_max = np.abs(A).max() * (1.0 if B is None else np.abs(B).max())
-    return _from_blocks(u, blocks, factors, n, e_max, theta)
+    return _from_products(u, A, P, n, e_max, theta)
 
 
-def _from_blocks(u, blocks, factors, n: tuple[int, ...], e_max: float, theta) -> _Contrast:
-    """The contrast whose G holds group i's entry of ``blocks`` times sqrt(N/n_i)."""
-    widths = [F.shape[1] for F in factors]
-    G = np.empty((len(u), sum(widths)))
-    K = tuple(np.split(G, np.cumsum(widths[:-1]), axis=1))
-    for K_i, block, n_i in zip(K, blocks, n):
-        # a zero of A times a negative entry is -0.0 where the dense
-        # product sums to +0.0; adding 0.0 keeps G's bytes
-        np.add(block, 0.0, out=K_i)
-        K_i *= np.sqrt(sum(n) / n_i)
-    trace = float(np.vdot(G, G))
+def _from_products(u, A, P, n: tuple[int, ...], e_max: float, theta) -> _Contrast:
+    """The contrast of rows ``A`` and products ``P``, its trace
+    ||G||_F^2 = sum_i |A[:, i]|^2 (N/n_i) ||P_i||_F^2 checked against zero."""
+    trace = float(sum((A[:, i] @ A[:, i]) * (sum(n) / n_i) * np.vdot(P_i, P_i)
+                      for i, (P_i, n_i) in enumerate(zip(P, n))))
     _check_trace(trace, e_max, theta)
-    return _Contrast(u, K, G, trace)
+    return _Contrast(u, A, P, n, trace)
 
 
 def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
@@ -195,8 +211,8 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
             )
         E = spec.dense if spec.transform is None else spec.dense @ spec.transform.jacobian(theta)
         dim = len(theta) // est.a
-        blocks = (E[:, i * dim:(i + 1) * dim] @ F for i, F in enumerate(factors))
-        c = _from_blocks(spec.dense @ f, blocks, factors, est.n, np.abs(E).max(), theta)
+        P = tuple(E[:, i * dim:(i + 1) * dim] @ F for i, F in enumerate(factors))
+        c = _from_products(spec.dense @ f, np.ones((1, est.a)), P, est.n, np.abs(E).max(), theta)
     return replace(c, u=c.u - spec.zeta)
 
 
@@ -218,16 +234,27 @@ def ats(
     return float(est.N * (c.u @ c.u) / c.trace)
 
 
-def _law(c: _Contrast, method: str, n: tuple[int, ...]):
+def _law(c: _Contrast, method: str):
     """``method``'s reference law on contrast ``c`` as (w, mu, df): MC and TAY
     draw sum_k w_k chi2_1 with w = eig(G G^T) / ||G||_F^2, mu and df None;
     BT draws sum_k w_k chi2_1 / sum_j mu_j chi2_{df_j} with w = eig(G G^T)
-    and, per group, mu_i = eig(K_i^T K_i) / (n_i - 1) at df n_i - 1."""
+    and mu_i = eig(K_i^T K_i) / (n_i - 1) at df n_i - 1.  Where G is taller
+    than wide, w comes from G^T G = (S^T S) o W, S = [P_1 ... P_a] and W
+    holding (A^T A)_ij sqrt(N/n_i) sqrt(N/n_j) over block (i, j), without G;
+    mu_i comes from K_i^T K_i = |A[:, i]|^2 (N/n_i) P_i^T P_i."""
+    widths = [P_i.shape[1] for P_i in c.P]
+    if sum(widths) >= len(c.u):
+        w = _gram_spectrum(c.G)
+    else:
+        S, s = np.hstack(c.P), np.sqrt(sum(c.n) / np.array(c.n))
+        W = np.repeat(np.repeat(c.A.T @ c.A * np.outer(s, s), widths, axis=0), widths, axis=1)
+        w = _nonzero(np.linalg.eigvalsh(S.T @ S * W))
     if method != "BT":
-        return _gram_spectrum(c.G) / c.trace, None, None
-    mu = [_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(n, c.K)]
-    df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(n, mu)]
-    return _gram_spectrum(c.G), np.concatenate(mu), np.concatenate(df)
+        return w / c.trace, None, None
+    mu = [(c.A[:, i] @ c.A[:, i]) * (sum(c.n) / n_i) * _gram_spectrum(P_i) / (n_i - 1)
+          for i, (P_i, n_i) in enumerate(zip(c.P, c.n))]
+    df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(c.n, mu)]
+    return w, np.concatenate(mu), np.concatenate(df)
 
 
 def _reference(spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int,
@@ -235,7 +262,7 @@ def _reference(spec: HypothesisSpec, est: MomentEstimates, B: int, seed: int,
     """B draws of ``method``'s law from one stream: all numerators, then BT's denominators."""
     c = _contrast(spec, est) if contrast is None else contrast
     _check_repetitions(B)
-    w, mu, df = _law(c, method, est.n)
+    w, mu, df = _law(c, method)
     rng = _root_rng(seed)
     num = _weighted_chisquare(rng, B, w)
     return num if mu is None else num / _weighted_chisquare(rng, B, mu, df)

@@ -3,12 +3,15 @@
 The engines never form the pooled a*p x a*p covariance: they work on the
 contrasted factor G = [sqrt(N/n_i) E_i F_i] with G G^T = E Sigma_pooled E^T.
 Nor do they form a multi-group contrast C = A kron B: E_i F_i is column i
-of A kron (B F_i).  Here the statistic, its covariance H and the MC and BT
-weights are checked against H built densely inside the test from the dense C,
+of A kron (B F_i), and where G has more rows than columns the laws come
+from G^T G assembled from the per-group products B F_i, without G.  Here
+the statistic, its covariance H and the MC and BT weights are checked
+against H built densely inside the test from the dense C,
 ``group_fourth_moment_cov`` and ``scipy.linalg.block_diag``, for groups
-narrower and wider than p.  A guard checks that the test entry points leave
-the dense matrices unbuilt and never take an eigendecomposition wider than
-the sample when n_i <= p.
+narrower and wider than p, and the laws read without G against those of
+G.  A guard checks that the test entry points leave the dense matrices
+unbuilt and never take an eigendecomposition wider than the sample when
+n_i <= p.
 """
 
 import dataclasses
@@ -24,6 +27,7 @@ import covartest.cli as cli
 from covartest.combined import combined_test
 from covartest.engine import (
     _contrast,
+    _gram_spectrum,
     _law,
     ats,
     run_test,
@@ -128,7 +132,7 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
     # MC weights: the nonzero eigenvalues of H over its trace; whatever the
     # Gram spectrum leaves out carries no trace
     c = _contrast(spec, est)
-    lam, no_mu, no_df = _law(c, "MC", est.n)
+    lam, no_mu, no_df = _law(c, "MC")
     assert no_mu is None and no_df is None
     dense = np.linalg.eigvalsh(H) / np.trace(H)
     assert len(lam) <= min(spec.m, sum(n))
@@ -136,7 +140,7 @@ def test_factored_statistic_matches_dense_oracle(target, name, d, n):
 
     # BT: numerator weights the nonzero eigenvalues of H; the denominator
     # weights of group i, at df n_i - 1, those of its term over n_i - 1
-    w, mu, df = _law(c, "BT", est.n)
+    w, mu, df = _law(c, "BT")
     assert_nonzero_spectrum(w, np.linalg.eigvalsh(H))
     assert len(mu) == len(df) and len(set(n)) == len(n)  # df tells the groups apart
     for n_i, term in zip(n, terms):
@@ -191,6 +195,65 @@ def test_factored_contrast_keeps_the_dense_bytes(target, name):
     assert len(c.K) == a
     assert all(np.shares_memory(K_i, c.G) for K_i in c.K)
     assert np.hstack(c.K).tobytes() == dense.tobytes()
+
+
+LAW_CASES = [
+    # (target, name, a, n, path): "Q" where G has more rows than columns,
+    # so the law comes from G^T G assembled per group, "G" otherwise
+    (COVARIANCE, "equal", 3, (6, 8, 7), "Q"),
+    (COVARIANCE, "equal", 3, (30, 40, 35), "G"),
+    (COVARIANCE, "equal-diagonals", 3, (3, 2, 2), "Q"),
+    (COVARIANCE, "equal-diagonals", 3, (30, 40, 35), "G"),
+    (COVARIANCE, "equal-trace", 3, (6, 8, 7), "G"),
+    (CORRELATION, "equal-correlated", 3, (3, 4, 3), "Q"),
+    (CORRELATION, "equal-correlated", 3, (30, 9, 40), "G"),
+    # dense C, one row of ones across the groups
+    (COVARIANCE, "given-matrix", 1, (6,), "Q"),
+    (COVARIANCE, "given-matrix", 1, (30,), "G"),
+    (COVARIANCE, "uncorrelated", 1, (4,), "Q"),
+    (CORRELATION, "equal-correlated", 1, (4,), "Q"),
+    (CORRELATION, "equal-correlated", 1, (30,), "G"),
+    # dense C linearized by the transform's Jacobian
+    (CORRELATION, "hautoregressive", 1, (4,), "Q"),
+    (CORRELATION, "hautoregressive", 1, (30,), "G"),
+]
+
+
+@pytest.mark.parametrize("target, name, a, n, path", LAW_CASES,
+                         ids=[f"{c[1]}-{c[2]}-{c[4]}-{'-'.join(map(str, c[3]))}" for c in LAW_CASES])
+def test_block_law_matches_the_law_of_G(target, name, a, n, path):
+    # d = 4: p = 10 covariance and 6 correlation coordinates per group
+    extra = np.eye(4) if name == "given-matrix" else None
+    spec = (predefined_hypothesis(name, target, a, 4, extra) if name != "hautoregressive"
+            else structure_hypothesis(name, target, 4))
+    est = pool_estimates(sample_of(404 + sum(n), 4, n), include_correlation=target == CORRELATION)
+    c = _contrast(spec, est)
+    assert (sum(P_i.shape[1] for P_i in c.P) < len(c.u)) == (path == "Q")
+    mc, bt = _law(c, "MC"), _law(c, "BT")
+    # the Gram path reads the law without forming G
+    assert ("K" in vars(c)) == (path == "G")
+    # the same law read off the formed G and its per-group views
+    assert abs(c.trace - np.vdot(c.G, c.G)) <= 1e-14 * c.trace
+    w = _gram_spectrum(c.G)
+    mu = np.concatenate([_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(n, c.K)])
+    for got, expect in ((mc[0], w / np.vdot(c.G, c.G)), (bt[0], w), (bt[1], mu)):
+        assert len(got) == len(expect)
+        assert np.abs(got - expect).max() <= 1e-12 * expect.max()
+
+
+def test_gram_path_runs_in_less_memory_than_G():
+    # d = 100, three groups of 100: G would be 15150 x 300 doubles, 36 MB;
+    # the law comes from the 300 x 300 Gram of the per-group factors
+    sample = sample_of(100, 100, (100, 100, 100))
+    spec = predefined_hypothesis("equal", COVARIANCE, 3, 100)
+    tracemalloc.start()
+    try:
+        report = run_test(sample, spec, method="MC", repetitions=1000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.statistic)
+    assert peak < 15150 * 300 * 8, peak / 2**20
 
 
 class TestFactoredSpec:

@@ -24,6 +24,7 @@ from covartest.combined import simulate_reference
 from covartest.engine import (
     _contrast,
     _gram_spectrum,
+    _law,
     bootstrap_reference,
     mc_reference,
     run_test,
@@ -173,6 +174,11 @@ def test_mc_law_matches_dense_loop(target, name, d, n):
     )
 
 
+def assert_close_weights(weights, expected):
+    assert len(weights) == len(expected)
+    assert np.abs(weights - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_mc_stream_is_pinned_across_a_chunk_boundary():
     # two groups of 40 against 78 covariance coordinates leave 78 nonzero
     # weights; 78 x 60 000 draws exceeds the 2**22-element chunk
@@ -181,7 +187,10 @@ def test_mc_stream_is_pinned_across_a_chunk_boundary():
     Bmc = 60_000
     est = pool_estimates(sample, include_correlation=False)
     c = _contrast(spec, est)
-    lam = _gram_spectrum(c.G) / c.trace
+    lam, _, _ = _law(c, "MC")
+    # the law's weights are those of G's Gram spectrum, though read off
+    # the per-group products without forming G
+    assert_close_weights(lam, _gram_spectrum(c.G) / c.trace)
     assert Bmc * len(lam) > 1 << 22
     new = mc_reference(spec, est, Bmc, seed=15)
     rerun = mc_reference(spec, pool_estimates(sample, include_correlation=False), Bmc, seed=15)
@@ -206,10 +215,11 @@ def test_bt_stream_is_pinned_across_a_chunk_boundary():
     Bbt = 60_000
     est = pool_estimates(sample, include_correlation=False)
     c = _contrast(spec, est)
-    w = _gram_spectrum(c.G)
+    w, mu, df = _law(c, "BT")
     spectra = [_gram_spectrum(K_i) for K_i in c.K]
-    mu = np.concatenate([s / (n_i - 1) for n_i, s in zip(est.n, spectra)])
-    df = np.concatenate([np.full(len(s), n_i - 1.0) for n_i, s in zip(est.n, spectra)])
+    assert_close_weights(w, _gram_spectrum(c.G))
+    assert_close_weights(mu, np.concatenate([s / (n_i - 1) for n_i, s in zip(est.n, spectra)]))
+    assert np.array_equal(df, np.concatenate([np.full(len(s), n_i - 1.0) for n_i, s in zip(est.n, spectra)]))
     assert len(w) == len(mu) == 78 and set(df) == {39.0}
     assert Bbt * len(w) > 1 << 22 and Bbt * len(mu) > 1 << 22
     new = bootstrap_reference(spec, est, Bbt, seed=16)
