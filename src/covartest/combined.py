@@ -5,10 +5,12 @@ the d(d-1)/2 correlations: the contrast [1, -1] kron I on the stacked
 half-vectors, whose per-group factors are the variance rows of the
 covariance factor F_i on top of the correlation-scale factor M_i F_i.
 The engine's contrast builder weights them, under the engine's trace rule,
-and each block of reference draws is Z_0 K_0^T + Z_1 K_1^T from its views
-K_i, with standard normal Z_i.  All repetitions come from one generator
-rooted at the seed, a block of rows at a time, so a rerun with the same
-seed is byte-identical.
+into G = [K_0 K_1], and each block of reference draws is the one product
+[Z_0 Z_1] G^T, with standard normal Z_i, group 0's drawn first.  All
+repetitions come from one generator rooted at the seed, a block of rows
+at a time, so a rerun with the same seed is byte-identical.  The draws are
+stored component-major, so each component's B draws, which the bands sort,
+are contiguous.
 A single miscoverage level beta is calibrated so that the familywise
 rejection rate over all components, estimated on the reference draws
 themselves, stays at the requested level; the componentwise bands are
@@ -41,8 +43,9 @@ from .engine import (
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .linalg import vech_diag_positions
 
-# array entries per m-wide temporary in a block of reference draws; the
-# draws for a given seed depend on this size
+# array entries per block of reference draws, which are written straight
+# into the output with no P-wide temporary; the constant only sets the rows
+# per block, and the draws for a given seed depend on it
 _FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -76,8 +79,10 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
 
     Each group's normal vector on the covariance scale is mapped to the
     variance/correlation scale by its stacked factor [F_i[diag]; M_i F_i],
-    through the views K_i of the engine's contrast; a contrast whose trace
-    is rounding residue, by the engine's relative rule, raises ``ValueError``.
+    weighted into the engine's contrast G = [K_0 K_1]: a block of draws is
+    [Z_0 Z_1] G^T, written into a P x B array whose transpose is returned,
+    so each component's draws are contiguous.  A contrast whose trace is
+    rounding residue, by the engine's relative rule, raises ``ValueError``.
     """
     _check_estimates(est)
     _check_repetitions(B)
@@ -87,11 +92,11 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
         np.vstack([F[diag], U]) for F, U in zip(est.Sigma_factor, est.Upsilon_factor)
     ], est.n)
     rng = _root_rng(seed)
-    out = np.empty((B, c.G.shape[0]))
-    for lo, hi in _row_blocks(B, out.shape[1], _FACTOR_CHUNK_ELEMENTS):
-        out[lo:hi] = rng.standard_normal((hi - lo, c.K[0].shape[1])) @ c.K[0].T
-        out[lo:hi] += rng.standard_normal((hi - lo, c.K[1].shape[1])) @ c.K[1].T
-    return out
+    out = np.empty((c.G.shape[0], B))
+    for lo, hi in _row_blocks(B, out.shape[0], _FACTOR_CHUNK_ELEMENTS):
+        z = np.hstack([rng.standard_normal((hi - lo, K_i.shape[1])) for K_i in c.K])
+        np.matmul(c.G, z.T, out=out[:, lo:hi])
+    return out.T
 
 
 def _outside(srt: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:

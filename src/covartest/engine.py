@@ -39,7 +39,7 @@ is stored on the estimates: a call without a contrast builds its own.
 
 from __future__ import annotations
 
-import secrets
+import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -61,7 +61,7 @@ _CHUNK_ELEMENTS = 1 << 22
 
 def fresh_seed() -> int:
     """A new root seed drawn from OS entropy."""
-    return secrets.randbits(32)
+    return int.from_bytes(os.urandom(4), "little")
 
 
 def _normalize_seed(seed: int | None) -> int:

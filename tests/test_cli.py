@@ -1134,3 +1134,15 @@ class TestCliWarnings:
             "covartest: warning: only 100 resampling repetitions; "
             "p-values are coarse below 500\n"
         )
+
+
+def test_import_loads_no_hashing_modules():
+    # fresh seeds come from os.urandom: the secrets module would pull in
+    # hmac, hashlib and OpenSSL on every start of the command line
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, covartest.cli; "
+         "print(sorted({'secrets', 'hashlib'} & set(sys.modules)))"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

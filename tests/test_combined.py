@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from reference_loops import (
     dense_sigma,
     reference_bands,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import size_study  # noqa: E402
 
 
 def two_groups(rng, d=3, n=(40, 50), scale2=1.0):
@@ -441,3 +446,19 @@ class TestNullSize:
             rejections += combined_test(sample, repetitions=B, seed=seed).p_total <= 0.05
         # 200 runs at level 0.05 reject 10 on average, with sd 3.1
         assert rejections <= 20
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="with P = 78 components against B = 500 the size study rejects "
+        "45 of 200 null samples (0.225, se 0.030) at alpha = 0.05 (ROADMAP item 15)",
+    )
+    def test_size_study_holds_the_level(self):
+        # AR(0.7) groups of 100 at d = 12 under the null, the study's
+        # default design and seed
+        config = size_study.parse_args([
+            "--test", "combined", "--d", "12", "--n", "100,100",
+            "--repetitions", "500", "--runs", "200",
+        ])
+        rate, _ = size_study.run_study(config)
+        # 200 runs at level 0.05 reject 10 on average, with sd 3.1
+        assert rate <= 20 / config.runs

@@ -6,7 +6,8 @@ Each case compares 10 000 draws of both by a two-sample KS test at fixed
 seeds.  MC draws one chi-square per nonzero eigenvalue of the contrasted
 covariance, not one per contrast row as the dense loop does, so its law is
 compared the same way and its stream is pinned byte for byte on its own;
-so is BT's, whose numerator and denominator are drawn from one stream.
+so is BT's, whose numerator and denominator are drawn from one stream,
+and the combined test's, drawn a block of rows at a time.
 TAY's draws ||G z||^2 / ||G||_F^2 have the MC law and come from MC's
 kernel, so for one seed they equal MC's draws byte for byte.  The
 benchmark's oracle (``perfbench/oracle.py``) holds the p-values of all
@@ -37,6 +38,7 @@ from covartest.hypotheses import (
     predefined_hypothesis,
     structure_hypothesis,
 )
+from covartest.linalg import vech_diag_positions
 from conftest import gaussian_sample, make_spd
 from reference_loops import (
     bootstrap_reference_loop,
@@ -238,6 +240,40 @@ def test_bt_stream_is_pinned_across_a_chunk_boundary():
     num = weighted(w, lambda size: rng.standard_normal(size) ** 2)
     expect = num / weighted(mu, lambda size: rng.chisquare(df, size=size))
     assert new.tobytes() == expect.tobytes()
+
+
+def test_combined_stream_is_pinned_across_a_block_boundary():
+    # d = 24 stacks 24 variances on 276 correlations, P = 300, so blocks
+    # of 2**18 // 300 = 873 rows and B = 1000 spans two; groups of 40 and
+    # 50 give the two normal vectors different lengths
+    est = pool_estimates(sample_of(606, 24, (40, 50)))
+    Bc = 1000
+    draws = simulate_reference(est, Bc, seed=17)
+    P = draws.shape[1]
+    step = (1 << 18) // P
+    assert P == 300 and step == 873 < Bc
+    # the draws are stored component-major, so each component's B draws
+    # are contiguous for the sort along the repetitions
+    assert draws.T.flags.c_contiguous
+    diag = vech_diag_positions(24)
+    K = [
+        sign * np.sqrt(est.N / n_i) * np.vstack([F[diag], U])
+        for sign, n_i, F, U in zip((1.0, -1.0), est.n, est.Sigma_factor, est.Upsilon_factor)
+    ]
+    G = np.hstack(K)
+    # the contract: one root stream; in each block of rows, group 0's
+    # standard normals and then group 1's, side by side as z, give G z^T
+    rng = np.random.default_rng(np.random.SeedSequence(17))
+    blocks = []
+    for lo in range(0, Bc, step):
+        Z = [rng.standard_normal((min(step, Bc - lo), K_i.shape[1])) for K_i in K]
+        blocks.append((Z, G @ np.hstack(Z).T))
+    expect = np.hstack([GzT for _, GzT in blocks])
+    assert draws.T.tobytes() == expect.tobytes()
+    # the same variates through the per-group form Z_0 K_0^T + Z_1 K_1^T
+    # agree up to rounding
+    old = np.vstack([Z[0] @ K[0].T + Z[1] @ K[1].T for Z, _ in blocks])
+    assert np.abs(draws - old).max() <= 1e-12 * np.abs(draws).max()
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
