@@ -80,9 +80,10 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     Each group's normal vector on the covariance scale is mapped to the
     variance/correlation scale by its stacked factor [F_i[diag]; M_i F_i],
     weighted into the engine's contrast G = [K_0 K_1]: a block of draws is
-    [Z_0 Z_1] G^T, written into a P x B array whose transpose is returned,
-    so each component's draws are contiguous.  A contrast whose trace is
-    rounding residue, by the engine's relative rule, raises ``ValueError``.
+    [Z_0 Z_1] G^T, with Z_0 and Z_1 drawn into one buffer, written into a
+    P x B array whose transpose is returned, so each component's draws are
+    contiguous.  A contrast whose trace is rounding residue, by the
+    engine's relative rule, raises ``ValueError``.
     """
     _check_estimates(est)
     _check_repetitions(B)
@@ -93,9 +94,15 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     ], est.n)
     rng = _root_rng(seed)
     out = np.empty((c.G.shape[0], B))
-    for lo, hi in _row_blocks(B, out.shape[0], _FACTOR_CHUNK_ELEMENTS):
-        z = np.hstack([rng.standard_normal((hi - lo, K_i.shape[1])) for K_i in c.K])
-        np.matmul(c.G, z.T, out=out[:, lo:hi])
+    blocks = list(_row_blocks(B, out.shape[0], _FACTOR_CHUNK_ELEMENTS))
+    # one buffer for the first, largest block; each group's normals are
+    # assigned into its columns, so only one group's draw is alive beside it
+    z = np.empty((blocks[0][1], c.G.shape[1]))
+    splits = np.cumsum([K_i.shape[1] for K_i in c.K[:-1]])
+    for lo, hi in blocks:
+        for Z_i in np.split(z[:hi - lo], splits, axis=1):
+            Z_i[...] = rng.standard_normal(Z_i.shape)
+        np.matmul(c.G, z[:hi - lo].T, out=out[:, lo:hi])
     return out.T
 
 

@@ -19,8 +19,10 @@ contrast kept as C = A kron B, E_i F_i is column i of A kron (B F_i), so
 the contrast keeps A and the products P_i = B F_i (E_i F_i under a row of
 ones for a dense C); neither C nor G is formed unless a caller reads G.
 The trace ||G||_F^2 is summed group by group.  ``_law`` reads every
-engine's law off the smaller Gram matrices: G^T G assembled from the
-blocks P_i^T P_j where G is taller than wide, and per group P_i's Gram.
+engine's law off per-group Gram matrices and never forms G: G G^T shares
+its nonzero spectrum with sum_i R[:, i] R[:, i]^T kron P_i P_i^T, r*q
+square for R the thin factor of A's weighted Gram, r its rank and q the
+rows of each P_i, and with G^T G; ``_law`` takes the smaller.
 TAY's draws ||G z||^2 / ||G||_F^2 follow exactly the MC law, so for the
 same seed TAY returns MC's draws.
 
@@ -91,8 +93,12 @@ def _weighted_chisquare(
 
     ``df`` None means chi2_1 throughout, drawn as squared standard normals:
     the same law as numpy's gamma sampler at shape 1/2, at a fraction of
-    its cost.  A ``df`` array goes to ``rng.chisquare``.
+    its cost.  A ``df`` array goes to ``rng.chisquare``, as one scalar when
+    its entries are all equal: numpy fills the same variates in the same
+    order either way, and a scalar skips its broadcast loop.
     """
+    if df is not None and df.min() == df.max():
+        df = df[0]
     out = np.empty(B)
     for lo, hi in _row_blocks(B, len(weights), _CHUNK_ELEMENTS):
         if df is None:
@@ -238,21 +244,37 @@ def _law(c: _Contrast, method: str):
     """``method``'s reference law on contrast ``c`` as (w, mu, df): MC and TAY
     draw sum_k w_k chi2_1 with w = eig(G G^T) / ||G||_F^2, mu and df None;
     BT draws sum_k w_k chi2_1 / sum_j mu_j chi2_{df_j} with w = eig(G G^T)
-    and mu_i = eig(K_i^T K_i) / (n_i - 1) at df n_i - 1.  Where G is taller
-    than wide, w comes from G^T G = (S^T S) o W, S = [P_1 ... P_a] and W
-    holding (A^T A)_ij sqrt(N/n_i) sqrt(N/n_j) over block (i, j), without G;
-    mu_i comes from K_i^T K_i = |A[:, i]|^2 (N/n_i) P_i^T P_i."""
-    widths = [P_i.shape[1] for P_i in c.P]
-    if sum(widths) >= len(c.u):
-        w = _gram_spectrum(c.G)
+    and mu_i = eig(K_i^T K_i) / (n_i - 1) at df n_i - 1, G never formed.
+    R is the thin factor of AtA = (A^T A) o s s^T, s_i = sqrt(N/n_i), from
+    the eigenvalues above 1e-12 of its largest: r x a, R^T R = AtA.  Where
+    the P_i have at least r*q columns in all, w comes from the r*q square
+    M = sum_i R[:, i] R[:, i]^T kron P_i P_i^T; otherwise from
+    G^T G = (S^T S) o W, S = [P_1 ... P_a] and W holding AtA_ij over block
+    (i, j).  mu_i comes from K_i^T K_i = |A[:, i]|^2 (N/n_i) P_i^T P_i, whose
+    spectrum is that of P_i's smaller Gram."""
+    widths, q = [P_i.shape[1] for P_i in c.P], len(c.P[0])
+    s = np.sqrt(sum(c.n) / np.array(c.n))
+    AtA = c.A.T @ c.A * np.outer(s, s)
+    lam, V = np.linalg.eigh(AtA)
+    keep = lam > 1e-12 * lam[-1]
+    R = np.sqrt(lam[keep])[:, None] * V[:, keep].T
+    r, PP = len(R), None
+    if sum(widths) >= r * q:
+        PP = np.stack([P_i @ P_i.T for P_i in c.P])
+        # block (j, k) of M is sum_i R[j, i] R[k, i] P_i P_i^T
+        M = np.tensordot(R[:, None] * R[None], PP, axes=1).transpose(0, 2, 1, 3)
+        w = _nonzero(np.linalg.eigvalsh(M.reshape(r * q, r * q)))
     else:
-        S, s = np.hstack(c.P), np.sqrt(sum(c.n) / np.array(c.n))
-        W = np.repeat(np.repeat(c.A.T @ c.A * np.outer(s, s), widths, axis=0), widths, axis=1)
+        S = np.hstack(c.P)
+        W = np.repeat(np.repeat(AtA, widths, axis=0), widths, axis=1)
         w = _nonzero(np.linalg.eigvalsh(S.T @ S * W))
     if method != "BT":
         return w / c.trace, None, None
-    mu = [(c.A[:, i] @ c.A[:, i]) * (sum(c.n) / n_i) * _gram_spectrum(P_i) / (n_i - 1)
-          for i, (P_i, n_i) in enumerate(zip(c.P, c.n))]
+    # P_i P_i^T is the smaller Gram where P_i has at least q columns
+    spectra = [_nonzero(np.linalg.eigvalsh(PP[i])) if PP is not None and P_i.shape[1] >= q
+               else _gram_spectrum(P_i) for i, P_i in enumerate(c.P)]
+    mu = [(c.A[:, i] @ c.A[:, i]) * (sum(c.n) / n_i) * spectrum / (n_i - 1)
+          for i, (spectrum, n_i) in enumerate(zip(spectra, c.n))]
     df = [np.full(len(mu_i), n_i - 1.0) for n_i, mu_i in zip(c.n, mu)]
     return w, np.concatenate(mu), np.concatenate(df)
 

@@ -190,7 +190,7 @@ def _group_estimates(X: np.ndarray, correlation: bool):
         lo += d - j
     W -= W.mean(axis=1, keepdims=True)
     if n <= p:
-        F = W / np.sqrt(n - 1)
+        F = np.divide(W, np.sqrt(n - 1), out=W)
     else:
         G = W @ W.T / (n - 1)
         _check_in_range(G, "fourth-moment covariance")
@@ -208,7 +208,14 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     R = np.clip(V / np.outer(sd, sd), -1.0, 1.0)
     np.fill_diagonal(R, 1.0)
     rhat = vech_strict(R)
-    U = sum(c[:, None] * F[cols] for cols, c in _jacobian_terms(var, rhat))
+    # U = 0 + sum of the three terms c[:, None] * F[cols], in that order,
+    # from one buffer of the selected rows; 0.0 + -0.0 is +0.0
+    terms = _jacobian_terms(var, rhat)
+    T = np.take(F, np.concatenate([cols for cols, _ in terms]), axis=0).reshape(3, -1, F.shape[1])
+    T *= np.stack([c for _, c in terms])[:, :, None]
+    U = T[0] + 0.0
+    U += T[1]
+    U += T[2]
     return vhat, F, rhat, U
 
 

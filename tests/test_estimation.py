@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from covartest.combined import combined_test, simulate_reference
 from covartest.engine import run_test
-from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
+from covartest.estimation import GroupedSample, MomentEstimates, _jacobian_terms, pool_estimates
 from covartest.hypotheses import CORRELATION, COVARIANCE, predefined_hypothesis
-from covartest.linalg import full_length, strict_length, vech, vech_strict
+from covartest.linalg import full_length, strict_length, vech, vech_diag_positions, vech_strict
 from conftest import gaussian_sample, make_spd
 from reference_loops import (
     correlation_jacobian,
@@ -256,6 +256,25 @@ class TestUpsilon:
             # rounding is bounded by the largest entry of |M| |F|, not of M F
             scale = (np.abs(M) @ np.abs(F)).max()
             assert np.abs(U - expect).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case", ["narrow", "wide", "zeros"])
+    def test_factor_keeps_the_bytes_of_the_term_sum(self, case):
+        # U is written from one buffer of F's selected rows; it must keep
+        # the bytes of 0 + the three terms c * F[cols], summed in order
+        rng = np.random.default_rng(41)
+        if case == "zeros":
+            # orthogonal rows (zero correlations, so -0.0 Jacobian entries)
+            # and signed zeros in the data
+            X = np.array([[1.0, -1.0, 1.0, -1.0, 0.0, -0.0],
+                          [1.0, 1.0, -1.0, -1.0, -0.0, 0.0],
+                          [2.0, -2.0, -2.0, 2.0, 1.0, -1.0]])
+        else:
+            X = gaussian_sample(rng, make_spd(rng, 5), 8 if case == "narrow" else 40)
+        est = pool_estimates(GroupedSample((X,)))
+        (v,), (F,), (r,), (U,) = est.vhat, est.Sigma_factor, est.rhat, est.Upsilon_factor
+        expect = sum(c[:, None] * F[cols]
+                     for cols, c in _jacobian_terms(v[vech_diag_positions(len(X))], r))
+        assert U.tobytes() == expect.tobytes()
 
 
 # ------------------------------------------------------------- pooling

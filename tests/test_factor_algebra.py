@@ -3,8 +3,9 @@
 The engines never form the pooled a*p x a*p covariance: they work on the
 contrasted factor G = [sqrt(N/n_i) E_i F_i] with G G^T = E Sigma_pooled E^T.
 Nor do they form a multi-group contrast C = A kron B: E_i F_i is column i
-of A kron (B F_i), and where G has more rows than columns the laws come
-from G^T G assembled from the per-group products B F_i, without G.  Here
+of A kron (B F_i), and the laws come from the per-group products B F_i
+without G, off an r*q square matrix for A of rank r where the products
+have at least r*q columns in all, else off G^T G assembled per group.  Here
 the statistic, its covariance H and the MC and BT weights are checked
 against H built densely inside the test from the dense C,
 ``group_fourth_moment_cov`` and ``scipy.linalg.block_diag``, for groups
@@ -198,9 +199,11 @@ def test_factored_contrast_keeps_the_dense_bytes(target, name):
 
 
 LAW_CASES = [
-    # (target, name, a, n, path): "Q" where G has more rows than columns,
-    # so the law comes from G^T G assembled per group, "G" otherwise
-    (COVARIANCE, "equal", 3, (6, 8, 7), "Q"),
+    # (target, name, a, n, path): with r = rank(A) and q rows per P_i,
+    # "G" where the P_i have at least r*q columns in all, so the law is G
+    # G^T's spectrum read off the r*q square M = sum_i R_i R_i^T kron P_i
+    # P_i^T, "Q" otherwise, where it comes from G^T G assembled per group
+    (COVARIANCE, "equal", 3, (6, 8, 7), "G"),
     (COVARIANCE, "equal", 3, (30, 40, 35), "G"),
     (COVARIANCE, "equal-diagonals", 3, (3, 2, 2), "Q"),
     (COVARIANCE, "equal-diagonals", 3, (30, 40, 35), "G"),
@@ -219,19 +222,33 @@ LAW_CASES = [
 ]
 
 
-@pytest.mark.parametrize("target, name, a, n, path", LAW_CASES,
-                         ids=[f"{c[1]}-{c[2]}-{c[4]}-{'-'.join(map(str, c[3]))}" for c in LAW_CASES])
-def test_block_law_matches_the_law_of_G(target, name, a, n, path):
-    # d = 4: p = 10 covariance and 6 correlation coordinates per group
-    extra = np.eye(4) if name == "given-matrix" else None
-    spec = (predefined_hypothesis(name, target, a, 4, extra) if name != "hautoregressive"
-            else structure_hypothesis(name, target, 4))
-    est = pool_estimates(sample_of(404 + sum(n), 4, n), include_correlation=target == CORRELATION)
-    c = _contrast(spec, est)
-    assert (sum(P_i.shape[1] for P_i in c.P) < len(c.u)) == (path == "Q")
+@pytest.fixture
+def eig_shapes(monkeypatch):
+    """Shapes of the symmetric eigenvalue problems solved."""
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return shapes
+
+
+def check_law_against_G(c, n, path, eig_shapes):
+    """MC's and BT's laws read off ``c``'s per-group Grams on ``path``, G
+    formed on neither side, against the laws of the formed G and its views;
+    returns the shape of the largest eigenproblem the laws solved."""
+    q, r = len(c.u) // len(c.A), np.linalg.matrix_rank(c.A)
+    k = sum(P_i.shape[1] for P_i in c.P)
+    assert (k >= r * q) == (path == "G")
     mc, bt = _law(c, "MC"), _law(c, "BT")
-    # the Gram path reads the law without forming G
-    assert ("K" in vars(c)) == (path == "G")
+    assert "K" not in vars(c)
+    # the law's eigenproblem is the smaller of M (r*q) and G^T G (k) square;
+    # BT's per-group weights take P_i's smaller Gram
+    solved = max(eig_shapes)
+    assert solved == (min(r * q, k),) * 2
     # the same law read off the formed G and its per-group views
     assert abs(c.trace - np.vdot(c.G, c.G)) <= 1e-14 * c.trace
     w = _gram_spectrum(c.G)
@@ -239,6 +256,34 @@ def test_block_law_matches_the_law_of_G(target, name, a, n, path):
     for got, expect in ((mc[0], w / np.vdot(c.G, c.G)), (bt[0], w), (bt[1], mu)):
         assert len(got) == len(expect)
         assert np.abs(got - expect).max() <= 1e-12 * expect.max()
+    return solved
+
+
+@pytest.mark.parametrize("target, name, a, n, path", LAW_CASES,
+                         ids=[f"{c[1]}-{c[2]}-{c[4]}-{'-'.join(map(str, c[3]))}" for c in LAW_CASES])
+def test_block_law_matches_the_law_of_G(target, name, a, n, path, eig_shapes):
+    # d = 4: p = 10 covariance and 6 correlation coordinates per group
+    extra = np.eye(4) if name == "given-matrix" else None
+    spec = (predefined_hypothesis(name, target, a, 4, extra) if name != "hautoregressive"
+            else structure_hypothesis(name, target, 4))
+    est = pool_estimates(sample_of(404 + sum(n), 4, n), include_correlation=target == CORRELATION)
+    check_law_against_G(_contrast(spec, est), n, path, eig_shapes)
+
+
+@pytest.mark.parametrize("d, n", [
+    (4, (30, 40)),
+    (4, (12, 15, 11)),
+    (4, (6, 5)),  # 11 columns: under rows(A) q = 20, at least r q = 10
+    (12, (200, 200)),  # the benchmark's BT shape
+], ids=["a2-wide", "a3-wide", "a2-narrow", "bt-d12"])
+def test_law_reads_the_rank_of_A(d, n, eig_shapes):
+    # equal's centering A has a rows and rank a - 1, so the row side is
+    # (a - 1) q square where G G^T would be a q
+    spec = predefined_hypothesis("equal", COVARIANCE, len(n), d)
+    c = _contrast(spec, pool_estimates(sample_of(d + sum(n), d, n), include_correlation=False))
+    q = full_length(d)
+    assert np.linalg.matrix_rank(c.A) == len(c.A) - 1 and len(c.u) == len(n) * q
+    assert check_law_against_G(c, n, "G", eig_shapes) == ((len(n) - 1) * q,) * 2
 
 
 def test_gram_path_runs_in_less_memory_than_G():

@@ -7,7 +7,8 @@ seeds.  MC draws one chi-square per nonzero eigenvalue of the contrasted
 covariance, not one per contrast row as the dense loop does, so its law is
 compared the same way and its stream is pinned byte for byte on its own;
 so is BT's, whose numerator and denominator are drawn from one stream,
-and the combined test's, drawn a block of rows at a time.
+with the denominator's df passed as one scalar when the groups are of
+equal size, and the combined test's, drawn a block of rows at a time.
 TAY's draws ||G z||^2 / ||G||_F^2 have the MC law and come from MC's
 kernel, so for one seed they equal MC's draws byte for byte.  The
 benchmark's oracle (``perfbench/oracle.py``) holds the p-values of all
@@ -26,6 +27,7 @@ from covartest.engine import (
     _contrast,
     _gram_spectrum,
     _law,
+    _weighted_chisquare,
     bootstrap_reference,
     mc_reference,
     run_test,
@@ -240,6 +242,47 @@ def test_bt_stream_is_pinned_across_a_chunk_boundary():
     num = weighted(w, lambda size: rng.standard_normal(size) ** 2)
     expect = num / weighted(mu, lambda size: rng.chisquare(df, size=size))
     assert new.tobytes() == expect.tobytes()
+
+
+class _SpyRng:
+    """A generator that records the df of every chi-square call."""
+
+    def __init__(self, seed):
+        self.rng, self.df = np.random.default_rng(np.random.SeedSequence(seed)), []
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+    def chisquare(self, df, size):
+        self.df.append(df)
+        return self.rng.chisquare(df, size=size)
+
+
+@pytest.mark.parametrize("n", [(40, 40), (30, 45)], ids=["equal", "unequal"])
+def test_bt_denominator_takes_a_scalar_df_for_equal_groups(n):
+    # equal n_i give every denominator weight one df, which the kernel
+    # passes to numpy as a scalar; numpy fills the same variates from the
+    # scalar as from the array, so both draw the bytes of the array-df
+    # stream contract, and unequal n_i keep the array
+    est = pool_estimates(sample_of(505, 12, n), include_correlation=False)
+    spec = predefined_hypothesis("equal", COVARIANCE, 2, 12)
+    w, mu, df = _law(_contrast(spec, est), "BT")
+    Bbt = 3000
+    spy = _SpyRng(16)
+    _weighted_chisquare(spy, Bbt, w)  # the numerators come first in the stream
+    den = _weighted_chisquare(spy, Bbt, mu, df)
+    if len(set(n)) == 1:
+        assert [np.ndim(x) for x in spy.df] == [0] and spy.df[0] == n[0] - 1
+    else:
+        assert all(x is df for x in spy.df) and set(df) == {n_i - 1.0 for n_i in n}
+    # the contract: the numerators over all B, then the denominators, in
+    # blocks of 2**22 // len(mu) rows, each drawn with the df array
+    rng = np.random.default_rng(np.random.SeedSequence(16))
+    num = rng.standard_normal((Bbt, len(w))) ** 2 @ w
+    assert Bbt * len(mu) < 1 << 22
+    expect = rng.chisquare(df, size=(Bbt, len(mu))) @ mu
+    assert den.tobytes() == expect.tobytes()
+    assert bootstrap_reference(spec, est, Bbt, seed=16).tobytes() == (num / expect).tobytes()
 
 
 def test_combined_stream_is_pinned_across_a_block_boundary():
