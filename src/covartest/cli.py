@@ -312,7 +312,8 @@ def _load_array(path: str, what: str, ndmin: int) -> np.ndarray:
 def _format_pvalue(p: float, B: int) -> str:
     if p == 0.0:
         return f"p < {1.0 / B:g}"
-    return f"p = {p:.3f}"
+    # three decimals would round a nonzero p below 0.0005 to 0.000
+    return "p < 0.001" if p < 0.0005 else f"p = {p:.3f}"
 
 
 def _render(title: str, rows: dict, payload: dict, output: str) -> str:

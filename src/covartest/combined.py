@@ -2,15 +2,15 @@
 
 The statistic stacks the scaled differences of the d group variances and
 the d(d-1)/2 correlations: the contrast [1, -1] kron I on the stacked
-half-vectors, whose per-group factors are the variance rows of the
+half-vectors, whose per-group factors P_i are the variance rows of the
 covariance factor F_i on top of the correlation-scale factor M_i F_i.
 The engine's contrast builder weights them, under the engine's trace rule,
-into G = [K_0 K_1], and each block of reference draws is the one product
-[Z_0 Z_1] G^T, with standard normal Z_i, group 0's drawn first.  All
-repetitions come from one generator rooted at the seed, a block of rows
-at a time, so a rerun with the same seed is byte-identical.  The draws are
-stored component-major, so each component's B draws, which the bands sort,
-are contiguous.
+into G = [sqrt(N/n_0) P_0, -sqrt(N/n_1) P_1], and each block of reference
+draws is the one product [Z_0 Z_1] G^T, with standard normal Z_i, group
+0's drawn first.  All repetitions come from one generator rooted at the
+seed, a block of rows at a time, so a rerun with the same seed is
+byte-identical.  The draws are stored component-major, so each
+component's B draws, which the bands sort, are contiguous.
 A single miscoverage level beta is calibrated so that the familywise
 rejection rate over all components, estimated on the reference draws
 themselves, stays at the requested level; the componentwise bands are
@@ -79,7 +79,7 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
 
     Each group's normal vector on the covariance scale is mapped to the
     variance/correlation scale by its stacked factor [F_i[diag]; M_i F_i],
-    weighted into the engine's contrast G = [K_0 K_1]: a block of draws is
+    weighted into the engine's contrast G, formed once: a block of draws is
     [Z_0 Z_1] G^T, with Z_0 and Z_1 drawn into one buffer, written into a
     P x B array whose transpose is returned, so each component's draws are
     contiguous.  A contrast whose trace is rounding residue, by the
@@ -93,16 +93,17 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
         np.vstack([F[diag], U]) for F, U in zip(est.Sigma_factor, est.Upsilon_factor)
     ], est.n)
     rng = _root_rng(seed)
-    out = np.empty((c.G.shape[0], B))
+    G = c.G()
+    out = np.empty((G.shape[0], B))
     blocks = list(_row_blocks(B, out.shape[0], _FACTOR_CHUNK_ELEMENTS))
     # one buffer for the first, largest block; each group's normals are
     # assigned into its columns, so only one group's draw is alive beside it
-    z = np.empty((blocks[0][1], c.G.shape[1]))
-    splits = np.cumsum([K_i.shape[1] for K_i in c.K[:-1]])
+    z = np.empty((blocks[0][1], G.shape[1]))
+    splits = np.cumsum([P_i.shape[1] for P_i in c.P[:-1]])
     for lo, hi in blocks:
         for Z_i in np.split(z[:hi - lo], splits, axis=1):
             Z_i[...] = rng.standard_normal(Z_i.shape)
-        np.matmul(c.G, z[:hi - lo].T, out=out[:, lo:hi])
+        np.matmul(G, z[:hi - lo].T, out=out[:, lo:hi])
     return out.T
 
 

@@ -17,7 +17,7 @@ and E_i the contrast block of group i, the contrasted factor
 G = [sqrt(N/n_i) E_i F_i] satisfies G G^T = E Sigma_pooled E^T.  For a
 contrast kept as C = A kron B, E_i F_i is column i of A kron (B F_i), so
 the contrast keeps A and the products P_i = B F_i (E_i F_i under a row of
-ones for a dense C); neither C nor G is formed unless a caller reads G.
+ones for a dense C); neither C nor G is formed unless a caller asks for G.
 The trace ||G||_F^2 is summed group by group.  ``_law`` reads every
 engine's law off per-group Gram matrices and never forms G: G G^T shares
 its nonzero spectrum with sum_i R[:, i] R[:, i]^T kron P_i P_i^T, r*q
@@ -44,7 +44,6 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -149,9 +148,8 @@ class _Contrast:
     """One hypothesis contrasted against one set of estimates: ``u`` is the
     residual C f(theta) - zeta, ``A`` C's rows across the groups (a row of
     ones for a dense C) and ``P`` the per-group products P_i = B F_i (F_i
-    itself for B = I, E_i F_i for a dense C).  G = [sqrt(N/n_i) A[:, i] kron
-    P_i] and its per-group column views ``K`` are formed only when read;
-    ``trace`` is ||G||_F^2, already checked against zero."""
+    itself for B = I, E_i F_i for a dense C).  ``trace`` is ||G||_F^2,
+    already checked against zero, and ``G()`` forms G anew on each call."""
 
     u: np.ndarray
     A: np.ndarray
@@ -159,22 +157,19 @@ class _Contrast:
     n: tuple[int, ...]
     trace: float
 
-    @cached_property
-    def K(self) -> tuple[np.ndarray, ...]:
+    def G(self) -> np.ndarray:
+        """G = [sqrt(N/n_i) A[:, i] kron P_i], written one group's columns at a time."""
         widths = [P_i.shape[1] for P_i in self.P]
-        K = np.split(np.empty((len(self.u), sum(widths))), np.cumsum(widths[:-1]), axis=1)
-        for i, (K_i, P_i, n_i) in enumerate(zip(K, self.P, self.n)):
-            # row block r of K_i is A[r, i] P_i; splitting K_i's rows is a view
-            np.multiply(self.A[:, i, None, None], P_i, out=K_i.reshape(len(self.A), *P_i.shape))
+        G = np.empty((len(self.u), sum(widths)))
+        blocks = np.split(G, np.cumsum(widths[:-1]), axis=1)
+        for i, (G_i, P_i, n_i) in enumerate(zip(blocks, self.P, self.n)):
+            # row block r of G_i is A[r, i] P_i; splitting G_i's rows is a view
+            np.multiply(self.A[:, i, None, None], P_i, out=G_i.reshape(len(self.A), *P_i.shape))
             # a zero of A times a negative entry is -0.0 where the dense
             # product sums to +0.0; adding 0.0 keeps G's bytes
-            K_i += 0.0
-            K_i *= np.sqrt(sum(self.n) / n_i)
-        return tuple(K)
-
-    @property
-    def G(self) -> np.ndarray:
-        return self.K[0].base  # the array that every view in K slices
+            G_i += 0.0
+            G_i *= np.sqrt(sum(self.n) / n_i)
+        return G
 
 
 def _factored_contrast(A, B, theta: np.ndarray, factors, n: tuple[int, ...]) -> _Contrast:
@@ -224,7 +219,7 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
 
 def statistic_covariance(spec: HypothesisSpec, est: MomentEstimates) -> np.ndarray:
     """Covariance of the contrasted parameter estimate, E Sigma E^T = G G^T."""
-    G = _contrast(spec, est).G
+    G = _contrast(spec, est).G()
     return G @ G.T
 
 
@@ -244,13 +239,14 @@ def _law(c: _Contrast, method: str):
     """``method``'s reference law on contrast ``c`` as (w, mu, df): MC and TAY
     draw sum_k w_k chi2_1 with w = eig(G G^T) / ||G||_F^2, mu and df None;
     BT draws sum_k w_k chi2_1 / sum_j mu_j chi2_{df_j} with w = eig(G G^T)
-    and mu_i = eig(K_i^T K_i) / (n_i - 1) at df n_i - 1, G never formed.
+    and mu_i = eig(G_i^T G_i) / (n_i - 1) at df n_i - 1, G_i group i's
+    columns of G, G never formed.
     R is the thin factor of AtA = (A^T A) o s s^T, s_i = sqrt(N/n_i), from
     the eigenvalues above 1e-12 of its largest: r x a, R^T R = AtA.  Where
     the P_i have at least r*q columns in all, w comes from the r*q square
     M = sum_i R[:, i] R[:, i]^T kron P_i P_i^T; otherwise from
     G^T G = (S^T S) o W, S = [P_1 ... P_a] and W holding AtA_ij over block
-    (i, j).  mu_i comes from K_i^T K_i = |A[:, i]|^2 (N/n_i) P_i^T P_i, whose
+    (i, j).  mu_i comes from G_i^T G_i = |A[:, i]|^2 (N/n_i) P_i^T P_i, whose
     spectrum is that of P_i's smaller Gram."""
     widths, q = [P_i.shape[1] for P_i in c.P], len(c.P[0])
     s = np.sqrt(sum(c.n) / np.array(c.n))

@@ -27,7 +27,6 @@ the group counts it accepts: exactly one, at least two, or any.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,10 +64,10 @@ class HypothesisSpec:
     A spec stores either its contrast matrix as ``dense`` or the pair
     ``factors`` (A, B) with C = A kron B, where B None stands for the
     identity on one group's half-vector; the engines work on what it
-    stores.  ``spec.C`` is built on its first read and then kept, so
-    ``dataclasses.replace``, ``asdict`` and ``copy`` build no C.  A
-    ``zeta`` of None means the zero vector.  Specs compare by identity,
-    and their repr leaves the contrast out.
+    stores.  ``spec.C`` is built from them on each read, so it always
+    states the null the engines test.  A ``zeta`` of None means the zero
+    vector.  Specs compare by identity, and their repr leaves the contrast
+    out.
     """
 
     target: str
@@ -129,9 +128,9 @@ class HypothesisSpec:
             object.__setattr__(self, "factors", (parts[0], parts[1] if len(parts) == 2 else None))
         object.__setattr__(self, "zeta", zeta)
 
-    @cached_property
+    @property
     def C(self) -> np.ndarray:
-        """The contrast matrix: ``dense`` itself, or A kron B built once."""
+        """The contrast matrix: ``dense`` itself, or A kron B built on each read."""
         if self.factors is None:
             return self.dense
         A, B = self.factors

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import os
@@ -696,6 +697,26 @@ class TestRuns:
         out = capsys.readouterr().out
         assert code == 0
         assert "p < 0.002" in out
+
+    @pytest.mark.parametrize("count, shown", [
+        (0, "p < 0.0001"), (1, "p < 0.001"), (4, "p < 0.001"),
+        (5, "p = 0.001"), (1234, "p = 0.123"),
+    ])
+    def test_nonzero_pvalue_never_reads_as_zero(self, tmp_path, capsys, monkeypatch, count, shown):
+        # count of B = 10,000 draws at or above the statistic, in the text
+        # row and in the JSON report's p_display
+        real = cli.run_test
+
+        def run_test(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), p_value=count / 10_000, repetitions=10_000)
+
+        monkeypatch.setattr(cli, "run_test", run_test)
+        argv = ["--data", two_group_file(tmp_path), "--group-column", "g", "--target",
+                "covariance", "--hypothesis", "equal", "--seed", "1"]
+        assert main(argv) == 0
+        assert f"p-value:     {shown}\n" in capsys.readouterr().out
+        assert main([*argv, "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["p_display"] == shown
 
 
 class TestExitCodes:

@@ -65,7 +65,7 @@ class TestStatistic:
         "that error by M_i's 1/v entries, so one variable at 2^-30 moves the statistic "
         "0.14617 -> 0.00103 (p 0.923 -> 1.0); at 1e-100 the Gram's entries for that "
         "variable underflow to 0, and the combined test's p_variances reads 0.0 "
-        "against 0.105 unscaled (ROADMAP item 18)",
+        "against 0.105 unscaled (ROADMAP item 19)",
     )
     def test_correlation_statistic_invariant_under_one_variables_units(self):
         # correlations do not depend on the units of a variable

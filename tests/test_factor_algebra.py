@@ -27,6 +27,7 @@ import scipy.linalg
 import covartest.cli as cli
 from covartest.combined import combined_test
 from covartest.engine import (
+    _Contrast,
     _contrast,
     _gram_spectrum,
     _law,
@@ -170,7 +171,7 @@ def test_factored_contrast_keeps_the_dense_bytes(target, name):
     # F_i (a selected row of it, for equal-diagonals), so the factored G
     # must equal the dense product bit for bit, signed zeros included;
     # dense and transformed specs keep the bytes of their own product;
-    # G is formed once, and every per-group block is a view of it
+    # G is formed anew on each call, with the same bytes
     a = {"uncorrelated": 1, "ar": 1, "custom": 3}.get(name, 4)
     sample = sample_of(77, 4, (6, 9, 30, 7)[:a])
     if name == "custom":
@@ -191,11 +192,12 @@ def test_factored_contrast_keeps_the_dense_bytes(target, name):
         np.sqrt(est.N / n_i) * (E[:, i * q:(i + 1) * q] @ F)
         for i, (n_i, F) in enumerate(zip(est.n, factors))
     ])
-    assert c.G.shape == dense.shape
-    assert c.G.tobytes() == dense.tobytes()
-    assert len(c.K) == a
-    assert all(np.shares_memory(K_i, c.G) for K_i in c.K)
-    assert np.hstack(c.K).tobytes() == dense.tobytes()
+    G = c.G()
+    assert G.shape == dense.shape
+    assert G.tobytes() == dense.tobytes()
+    assert len(c.P) == a
+    again = c.G()
+    assert not np.shares_memory(again, G) and again.tobytes() == G.tobytes()
 
 
 LAW_CASES = [
@@ -236,24 +238,33 @@ def eig_shapes(monkeypatch):
     return shapes
 
 
-def check_law_against_G(c, n, path, eig_shapes):
+def check_law_against_G(c, n, path, eig_shapes, monkeypatch):
     """MC's and BT's laws read off ``c``'s per-group Grams on ``path``, G
-    formed on neither side, against the laws of the formed G and its views;
-    returns the shape of the largest eigenproblem the laws solved."""
+    formed on neither side, against the laws of the formed G and its
+    per-group columns; returns the shape of the largest eigenproblem the
+    laws solved."""
     q, r = len(c.u) // len(c.A), np.linalg.matrix_rank(c.A)
-    k = sum(P_i.shape[1] for P_i in c.P)
+    widths = [P_i.shape[1] for P_i in c.P]
+    k = sum(widths)
     assert (k >= r * q) == (path == "G")
-    mc, bt = _law(c, "MC"), _law(c, "BT")
-    assert "K" not in vars(c)
+
+    def no_G(self):
+        raise AssertionError("the law formed G")
+
+    with monkeypatch.context() as m:
+        m.setattr(_Contrast, "G", no_G)
+        mc, bt = _law(c, "MC"), _law(c, "BT")
     # the law's eigenproblem is the smaller of M (r*q) and G^T G (k) square;
     # BT's per-group weights take P_i's smaller Gram
     solved = max(eig_shapes)
     assert solved == (min(r * q, k),) * 2
-    # the same law read off the formed G and its per-group views
-    assert abs(c.trace - np.vdot(c.G, c.G)) <= 1e-14 * c.trace
-    w = _gram_spectrum(c.G)
-    mu = np.concatenate([_gram_spectrum(K_i) / (n_i - 1) for n_i, K_i in zip(n, c.K)])
-    for got, expect in ((mc[0], w / np.vdot(c.G, c.G)), (bt[0], w), (bt[1], mu)):
+    # the same law read off the formed G and its per-group columns
+    G = c.G()
+    assert abs(c.trace - np.vdot(G, G)) <= 1e-14 * c.trace
+    w = _gram_spectrum(G)
+    blocks = np.split(G, np.cumsum(widths[:-1]), axis=1)
+    mu = np.concatenate([_gram_spectrum(G_i) / (n_i - 1) for n_i, G_i in zip(n, blocks)])
+    for got, expect in ((mc[0], w / np.vdot(G, G)), (bt[0], w), (bt[1], mu)):
         assert len(got) == len(expect)
         assert np.abs(got - expect).max() <= 1e-12 * expect.max()
     return solved
@@ -261,13 +272,13 @@ def check_law_against_G(c, n, path, eig_shapes):
 
 @pytest.mark.parametrize("target, name, a, n, path", LAW_CASES,
                          ids=[f"{c[1]}-{c[2]}-{c[4]}-{'-'.join(map(str, c[3]))}" for c in LAW_CASES])
-def test_block_law_matches_the_law_of_G(target, name, a, n, path, eig_shapes):
+def test_block_law_matches_the_law_of_G(target, name, a, n, path, eig_shapes, monkeypatch):
     # d = 4: p = 10 covariance and 6 correlation coordinates per group
     extra = np.eye(4) if name == "given-matrix" else None
     spec = (predefined_hypothesis(name, target, a, 4, extra) if name != "hautoregressive"
             else structure_hypothesis(name, target, 4))
     est = pool_estimates(sample_of(404 + sum(n), 4, n), include_correlation=target == CORRELATION)
-    check_law_against_G(_contrast(spec, est), n, path, eig_shapes)
+    check_law_against_G(_contrast(spec, est), n, path, eig_shapes, monkeypatch)
 
 
 @pytest.mark.parametrize("d, n", [
@@ -276,14 +287,14 @@ def test_block_law_matches_the_law_of_G(target, name, a, n, path, eig_shapes):
     (4, (6, 5)),  # 11 columns: under rows(A) q = 20, at least r q = 10
     (12, (200, 200)),  # the benchmark's BT shape
 ], ids=["a2-wide", "a3-wide", "a2-narrow", "bt-d12"])
-def test_law_reads_the_rank_of_A(d, n, eig_shapes):
+def test_law_reads_the_rank_of_A(d, n, eig_shapes, monkeypatch):
     # equal's centering A has a rows and rank a - 1, so the row side is
     # (a - 1) q square where G G^T would be a q
     spec = predefined_hypothesis("equal", COVARIANCE, len(n), d)
     c = _contrast(spec, pool_estimates(sample_of(d + sum(n), d, n), include_correlation=False))
     q = full_length(d)
     assert np.linalg.matrix_rank(c.A) == len(c.A) - 1 and len(c.u) == len(n) * q
-    assert check_law_against_G(c, n, "G", eig_shapes) == ((len(n) - 1) * q,) * 2
+    assert check_law_against_G(c, n, "G", eig_shapes, monkeypatch) == ((len(n) - 1) * q,) * 2
 
 
 def test_gram_path_runs_in_less_memory_than_G():
@@ -318,9 +329,23 @@ class TestFactoredSpec:
             # repr leaves C out, and specs compare by identity
             assert "C=" not in repr(spec)
             assert spec == spec and spec != self.spec(A, B)
-            assert "C" not in vars(spec)
-            assert spec.C is spec.C
             assert spec.C.shape == (m, 18)
+            assert "C" not in vars(spec)
+
+    def test_C_follows_in_place_changes_to_the_factors(self):
+        # equal-diagonals, a = 3, d = 3: A the successive group differences,
+        # B the rows picking each diagonal entry of a half-vector
+        spec = predefined_hypothesis("equal-diagonals", COVARIANCE, 3, 3)
+        est = pool_estimates(sample_of(31, 3, (20, 25, 30)), include_correlation=False)
+        before = spec.C
+        A, B = spec.factors
+        A[0] *= 2.0
+        B[0] *= 3.0
+        assert not np.array_equal(spec.C, before)
+        assert np.array_equal(spec.C, np.kron(A, B))
+        assert "C" not in vars(spec)
+        u = _contrast(spec, est).u
+        assert np.abs(spec.C @ est.vhat_pooled - spec.zeta - u).max() <= 1e-14 * np.abs(u).max()
 
     def test_replace_and_asdict_build_no_C(self):
         spec = predefined_hypothesis("equal", COVARIANCE, 3, 4)

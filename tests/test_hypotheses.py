@@ -441,8 +441,10 @@ class TestCustomSpec:
     def test_arrays_stored_uncopied(self):
         # a predefined contrast and a caller's float arrays are kept as given
         spec = predefined_hypothesis("equal", COVARIANCE, 3, 4)
-        again = HypothesisSpec(target=COVARIANCE, dense=spec.C, zeta=spec.zeta, label="equal", a=3, d=4)
-        assert again.C is spec.C
+        built = spec.C
+        again = HypothesisSpec(target=COVARIANCE, dense=built, zeta=spec.zeta, label="equal", a=3, d=4)
+        assert again.dense is built
+        assert_array_equal(again.C, spec.C)
         assert np.shares_memory(again.zeta, spec.zeta)
         C = np.array(spec.C)
         assert custom_hypothesis(C, spec.zeta, COVARIANCE, 3, 4).C is C

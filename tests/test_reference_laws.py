@@ -194,7 +194,7 @@ def test_mc_stream_is_pinned_across_a_chunk_boundary():
     lam, _, _ = _law(c, "MC")
     # the law's weights are those of G's Gram spectrum, though read off
     # the per-group products without forming G
-    assert_close_weights(lam, _gram_spectrum(c.G) / c.trace)
+    assert_close_weights(lam, _gram_spectrum(c.G()) / c.trace)
     assert Bmc * len(lam) > 1 << 22
     new = mc_reference(spec, est, Bmc, seed=15)
     rerun = mc_reference(spec, pool_estimates(sample, include_correlation=False), Bmc, seed=15)
@@ -220,8 +220,9 @@ def test_bt_stream_is_pinned_across_a_chunk_boundary():
     est = pool_estimates(sample, include_correlation=False)
     c = _contrast(spec, est)
     w, mu, df = _law(c, "BT")
-    spectra = [_gram_spectrum(K_i) for K_i in c.K]
-    assert_close_weights(w, _gram_spectrum(c.G))
+    G, widths = c.G(), [P_i.shape[1] for P_i in c.P]
+    spectra = [_gram_spectrum(G_i) for G_i in np.split(G, np.cumsum(widths[:-1]), axis=1)]
+    assert_close_weights(w, _gram_spectrum(G))
     assert_close_weights(mu, np.concatenate([s / (n_i - 1) for n_i, s in zip(est.n, spectra)]))
     assert np.array_equal(df, np.concatenate([np.full(len(s), n_i - 1.0) for n_i, s in zip(est.n, spectra)]))
     assert len(w) == len(mu) == 78 and set(df) == {39.0}
