@@ -114,6 +114,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--repetitions", type=int, default=500)
     parser.add_argument("--runs", type=int, default=500)
     parser.add_argument("--seed", type=int, default=20250817)
+
+    def error(message: str):  # argparse's own errors end in main, as one line
+        raise ValueError(message)
+
+    parser.error = error
     args = parser.parse_args(argv)
     if args.hypothesis is None:
         args.hypothesis = "equal-correlated" if args.test == "correlation" else "equal"
@@ -129,6 +134,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    # nan fails both comparisons, so it is refused with the infinities
+    if not 0.0 < args.scale2 < math.inf:
+        raise ValueError(f"--scale2 must be finite and positive, got {args.scale2}")
+    if not math.isfinite(args.rho):
+        raise ValueError(f"--rho must be finite, got {args.rho}")
     if args.test == "combined" and len(args.n) != 2:
         raise ValueError(f"--test combined needs two group sizes in --n, got {len(args.n)}")
     return args

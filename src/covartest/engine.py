@@ -204,13 +204,13 @@ def _contrast(spec: HypothesisSpec, est: MomentEstimates) -> _Contrast:
         c = _factored_contrast(*spec.factors, theta, factors, est.n)
     else:
         # a transformed null's C acts on f(theta) and is linearized by J(theta)
-        f = theta if spec.transform is None else spec.transform.map(theta)
+        f, J = (theta, None) if spec.transform is None else spec.transform(theta)
         if len(f) != spec.dense.shape[1]:
             raise ValueError(
                 f"the transform maps theta to {len(f)} coordinates "
                 f"but C has {spec.dense.shape[1]} columns"
             )
-        E = spec.dense if spec.transform is None else spec.dense @ spec.transform.jacobian(theta)
+        E = spec.dense if J is None else spec.dense @ J
         dim = len(theta) // est.a
         P = tuple(E[:, i * dim:(i + 1) * dim] @ F for i, F in enumerate(factors))
         c = _from_products(spec.dense @ f, np.ones((1, est.a)), P, est.n, np.abs(E).max(), theta)

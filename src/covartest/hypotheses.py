@@ -14,8 +14,10 @@ column minus its row: the entries of a chosen set of lags (lag 0, every
 lag above 0, or each lag alone) are equated in succession, and the entries
 of another set are set to zero.  Structural nulls (a single group) cover
 diagonal, spherical, compound symmetric, Toeplitz and first-order
-autoregressive shapes; the autoregressive ones are nonlinear and carry the
-transform with them.
+autoregressive shapes.  The autoregressive ones are nonlinear: each carries
+one callable, theta -> (f(theta), J(theta)), that appends the subdiagonal-mean
+ratios and returns the Jacobian that linearizes them, and raises
+``ValueError`` where a ratio is undefined.
 
 The catalog is two tables keyed by target.  ``STRUCTURES`` maps each canonical
 structure name to its short alias, its smallest d (with the reason, where
@@ -45,18 +47,6 @@ CORRELATION = "correlation"
 _TARGETS = (COVARIANCE, CORRELATION)
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Smooth reparametrization theta -> f(theta) with its Jacobian.
-
-    Evaluating ``map`` or ``jacobian`` outside the transform's domain raises
-    ``ValueError``.
-    """
-
-    map: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class HypothesisSpec:
     """One testable null C f(theta) = zeta for a given target and layout.
@@ -66,8 +56,10 @@ class HypothesisSpec:
     identity on one group's half-vector; the engines work on what it
     stores.  ``spec.C`` is built from them on each read, so it always
     states the null the engines test.  A ``zeta`` of None means the zero
-    vector.  Specs compare by identity, and their repr leaves the contrast
-    out.
+    vector.  A nonlinear null carries ``transform``, which maps theta to
+    the pair (f(theta), J(theta)) of the smooth reparametrization C acts
+    on and its Jacobian, and raises ``ValueError`` outside its domain.
+    Specs compare by identity, and their repr leaves the contrast out.
     """
 
     target: str
@@ -76,7 +68,7 @@ class HypothesisSpec:
     label: str
     a: int
     d: int
-    transform: TransformSpec | None = None
+    transform: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     factors: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def __post_init__(self) -> None:
@@ -190,12 +182,13 @@ def _toeplitz_rows(lags: np.ndarray) -> np.ndarray:
     return _rows(lags, equal=[lags == h for h in np.unique(lags)])
 
 
-def _ratio_transform(lags: np.ndarray, d: int) -> TransformSpec:
+def _ratio_transform(lags: np.ndarray, d: int):
     """Appends the consecutive subdiagonal-mean ratios to the half-vector.
 
     Means m_0, ..., m_{d-1} average the entries of each subdiagonal; for the
     strict (correlation) variant m_0 is the constant 1.  The appended
-    coordinates are rho_h = m_h / m_{h-1} for h = 1, ..., d-1.
+    coordinates are rho_h = m_h / m_{h-1} for h = 1, ..., d-1.  Returns
+    theta -> (f(theta), J(theta)).
     """
     q = len(lags)
     first = int(lags.min())  # 1 for the strict half-vector: m_0 == 1 involves no coordinates
@@ -205,33 +198,21 @@ def _ratio_transform(lags: np.ndarray, d: int) -> TransformSpec:
     for h, g in enumerate(groups, start=first):
         A[h, g] = 1.0 / len(g)
 
-    def _means(theta: np.ndarray) -> np.ndarray:
-        return np.array([1.0] * first + [theta[g].mean() for g in groups])
-
-    def _check(m: np.ndarray) -> None:
+    def transform(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.asarray(theta, dtype=float)
+        m = np.array([1.0] * first + [theta[g].mean() for g in groups])
         # denominators are m_0, ..., m_{d-2}
         if np.any(np.abs(m[: d - 1]) <= 1e-12 * abs(m[0])):
             raise ValueError(
                 "subdiagonal-mean ratio undefined: a leading subdiagonal mean vanishes"
             )
-
-    def fmap(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        m = _means(theta)
-        _check(m)
-        return np.concatenate([theta, m[1:] / m[:-1]])
-
-    def fjac(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        m = _means(theta)
-        _check(m)
         # float_power squares through pow(), as a scalar ** does; an array
         # ** 2 multiplies, which can differ in the last bit
         slopes = m[1:] / np.float_power(m[:-1], 2)
         ratios = A[1:] / m[:-1, None] - slopes[:, None] * A[:-1]
-        return np.vstack([np.eye(q), ratios])
+        return np.concatenate([theta, m[1:] / m[:-1]]), np.vstack([np.eye(q), ratios])
 
-    return TransformSpec(map=fmap, jacobian=fjac)
+    return transform
 
 
 def _autoregressive_spec(target: str, d: int, label: str) -> HypothesisSpec:

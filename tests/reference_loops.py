@@ -61,7 +61,7 @@ def _linearized(spec: HypothesisSpec, theta: np.ndarray) -> np.ndarray:
     """C, or C J(theta) for a transformed null: the contrast linearized at theta."""
     if spec.transform is None:
         return spec.C
-    return spec.C @ spec.transform.jacobian(theta)
+    return spec.C @ spec.transform(theta)[1]
 
 
 def _trace_quad(E: np.ndarray, S: np.ndarray) -> float:

@@ -154,7 +154,7 @@ def test_criterion_02_jacobians_match_finite_differences():
 
     def in_domain(transform, theta):
         try:
-            transform.map(theta)
+            transform(theta)
         except ValueError:
             return False
         return True
@@ -182,16 +182,16 @@ def test_criterion_02_jacobians_match_finite_differences():
         W = W + 0.05 * make_spd(rng, 4)
         theta = vech(W)
         if in_domain(ar_spec.transform, theta):
-            J = ar_spec.transform.jacobian(theta)
-            F = fd(ar_spec.transform.map, theta)
+            J = ar_spec.transform(theta)[1]
+            F = fd(lambda x: ar_spec.transform(x)[0], theta)
             err = np.abs(J - F).max() / max(1.0, np.abs(J).max())
             if err > 1e-5:
                 failures.append(f"ar transform point {point}: error {err:.2e}")
         sd = np.sqrt(np.diag(W))
         theta = vech_strict(W / np.outer(sd, sd))
         if in_domain(har_spec.transform, theta):
-            J = har_spec.transform.jacobian(theta)
-            F = fd(har_spec.transform.map, theta)
+            J = har_spec.transform(theta)[1]
+            F = fd(lambda x: har_spec.transform(x)[0], theta)
             err = np.abs(J - F).max() / max(1.0, np.abs(J).max())
             if err > 1e-5:
                 failures.append(f"har transform point {point}: error {err:.2e}")

@@ -80,8 +80,8 @@ def dense_oracle(spec, sample):
     if spec.transform is None:
         u, E = spec.C @ theta - spec.zeta, spec.C
     else:
-        u = spec.C @ spec.transform.map(theta) - spec.zeta
-        E = spec.C @ spec.transform.jacobian(theta)
+        u = spec.C @ spec.transform(theta)[0] - spec.zeta
+        E = spec.C @ spec.transform(theta)[1]
     H = E @ pooled @ E.T
     q = spec.base_dim
     E_i = [E[:, i * q:(i + 1) * q] for i in range(sample.a)]
@@ -186,7 +186,7 @@ def test_factored_contrast_keeps_the_dense_bytes(target, name):
     c = _contrast(spec, est)
     factors = est.Sigma_factor if target == COVARIANCE else est.Upsilon_factor
     theta = est.vhat_pooled if target == COVARIANCE else est.rhat_pooled
-    E = spec.C if spec.transform is None else spec.C @ spec.transform.jacobian(theta)
+    E = spec.C if spec.transform is None else spec.C @ spec.transform(theta)[1]
     q = spec.base_dim
     dense = np.hstack([
         np.sqrt(est.N / n_i) * (E[:, i * q:(i + 1) * q] @ F)

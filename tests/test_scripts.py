@@ -32,6 +32,11 @@ def test_script_runs(argv):
     ["--d", "0"],
     ["--test", "combined", "--n", "50"],
     ["--repetitions", "1000000000000000"],  # petabytes: the allocation fails at once
+    ["--scale2", "inf"],
+    ["--design", "cs", "--rho", "inf"],
+    ["--scale2", "-1"],
+    ["--scale2", "0"],  # a constant second group
+    ["--d", "x"],
 ])
 def test_size_study_rejects_bad_numbers_in_one_line(args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "size_study.py"), *args],
