@@ -30,19 +30,33 @@ from covartest import GroupedSample, combined_test, predefined_hypothesis, run_t
 
 
 def design_matrix(kind: str, d: int, rho: float) -> np.ndarray:
-    """Common covariance matrix shared by all groups under the null."""
+    """Common covariance matrix shared by all groups under the null.
+
+    A rho outside the design's positive definite range raises ValueError
+    before the matrix is built: AR needs |rho| < 1, CS -1/(d-1) < rho < 1.
+    """
     if kind == "identity":
         return np.eye(d)
     if kind == "cs":
+        if not (-1.0 / (d - 1) if d > 1 else -math.inf) < rho < 1.0:
+            raise ValueError(f"--design cs needs -1/(d-1) < rho < 1, got rho = {rho}")
         return np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
     if kind == "ar":
+        if not abs(rho) < 1.0:
+            raise ValueError(f"--design ar needs |rho| < 1, got rho = {rho}")
         idx = np.arange(d)
         return rho ** np.abs(idx[:, None] - idx[None, :])
     raise ValueError(f"unknown design {kind!r}")
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_study(config: argparse.Namespace) -> tuple[float, float]:
-    """Rejection fraction and its binomial standard error."""
+    """Rejection fraction and its binomial standard error.
+
+    Overflow, division by zero and invalid operations raise
+    FloatingPointError, so data out of floating-point range end in one
+    error line rather than numpy's warnings.
+    """
     V = design_matrix(config.design, config.d, config.rho)
     if min(np.linalg.eigvalsh(V)) <= 0.0:
         raise ValueError("design covariance is not positive definite")
@@ -145,13 +159,13 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # bad numbers, names and layouts, and repetitions too many to
-    # allocate, end in one line and exit code 2
+    # bad numbers, names and layouts, data out of floating-point range and
+    # repetitions too many to allocate end in one line and exit code 2
     try:
         config = parse_args(argv)
         start = time.time()
         rate, se = run_study(config)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, FloatingPointError, MemoryError) as exc:
         print(f"size_study.py: error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.time() - start

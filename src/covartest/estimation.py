@@ -10,13 +10,15 @@ min(n_i, p) columns), and the factor U_i = M_i F_i of the correlation-scale
 covariance ``Upsilon``.  M_i is the delta-method Jacobian mapping
 covariance coordinates to correlation coordinates; it has three nonzeros
 per row, so U_i is formed row by row from three rows of F_i and M_i is
-never built.  The engines and the combined test work on these factors
-alone: their references take the estimates only, never the raw sample.
-The block-diagonal pools of the dense matrices with weights N/n_i are
-built from the stored factors on every access.  The half-vectors
-``pool_estimates`` returns are read-only 1-D arrays.  The estimates store
-the arrays they are given, without a copy, and cache nothing, so every
-value read from them reflects the arrays as they are.
+never built.  For n_i > p, F_i is Sigma_i's Cholesky factor, whose rows
+a variable's units scale as they scale Sigma_i's, exactly for powers of
+two, and M_i undoes that.  The engines and the combined test work on
+these factors alone: their references take the estimates only, never the
+raw sample.  The block-diagonal pools of the dense matrices with weights
+N/n_i are built from the stored factors on every access.  The
+half-vectors ``pool_estimates`` returns are read-only 1-D arrays.  The
+estimates store the arrays they are given, without a copy, and cache
+nothing, so every value read from them reflects the arrays as they are.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def _group_estimates(X: np.ndarray, correlation: bool):
 
     F is the narrower exact factor of the fourth-moment covariance
     (F @ F.T = Sigma): the recentred outer products over sqrt(n - 1) when
-    n <= p, else the eigenvectors of the p x p estimate times the roots of
+    n <= p, else the Cholesky factor of the p x p estimate or, where
+    Cholesky refuses it as singular, its eigenvectors times the roots of
     their positive eigenvalues.  U = M F is the correlation-scale factor.
     rhat and U are None without ``correlation``.  Data so large that V or
     the p x p estimate overflows raise ValueError.
@@ -194,9 +197,11 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     else:
         G = W @ W.T / (n - 1)
         _check_in_range(G, "fourth-moment covariance")
-        w, Q = np.linalg.eigh(G)
-        keep = w > 0.0
-        F = Q[:, keep] * np.sqrt(w[keep])
+        try:
+            F = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            w, Q = np.linalg.eigh(G)
+            F = Q[:, w > 0.0] * np.sqrt(w[w > 0.0])
     if not correlation:
         return vhat, F, None, None
     if d < 2:

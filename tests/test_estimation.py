@@ -299,6 +299,14 @@ class TestGroupedSample:
             GroupedSample((X,))
 
 
+def fancy_indexed_products(X):
+    """Recentred outer products Xc[j] * Xc[k], j <= k, taken by fancy indexing."""
+    Xc = X - X.mean(axis=1, keepdims=True)
+    rows, cols = np.triu_indices(X.shape[0])
+    W = Xc[rows] * Xc[cols]
+    return W - W.mean(axis=1, keepdims=True)
+
+
 class TestPooling:
     def test_single_group_pool_is_plain_estimate(self, rng):
         s = GroupedSample((rng.standard_normal((3, 12)),))
@@ -380,23 +388,51 @@ class TestPooling:
     def test_factor_keeps_the_fancy_indexed_bytes(self, rng):
         # W is written from row slices of the centred data; F must keep the
         # bytes of the outer products taken by fancy indexing, on a group
-        # narrower than p = 21 (F = W / sqrt(n - 1)) and on a wider one
-        # (F from the eigenvectors of W W^T / (n - 1))
-        groups = (rng.standard_normal((6, 12)), rng.standard_normal((6, 60)))
+        # narrower than p = 21 (F = W / sqrt(n - 1)), on a wider one (F the
+        # Cholesky factor of W W^T / (n - 1)) and on a wider one with
+        # x2 = x1, whose singular Gram keeps the factor from its eigenvectors
+        collinear = rng.standard_normal((6, 60))
+        collinear[1] = collinear[0]
+        groups = (rng.standard_normal((6, 12)), rng.standard_normal((6, 60)), collinear)
         est = pool_estimates(GroupedSample(groups), include_correlation=False)
-        rows, cols = np.triu_indices(6)
-        for X, F in zip(groups, est.Sigma_factor):
-            n = X.shape[1]
-            Xc = X - X.mean(axis=1, keepdims=True)
-            W = Xc[rows] * Xc[cols]
-            W -= W.mean(axis=1, keepdims=True)
-            if n <= len(rows):
+        for X, F, kind in zip(groups, est.Sigma_factor, ("narrow", "cholesky", "eigh")):
+            n, W = X.shape[1], fancy_indexed_products(X)
+            if kind == "narrow":
                 expect = W / np.sqrt(n - 1)
+            elif kind == "cholesky":
+                expect = np.linalg.cholesky(W @ W.T / (n - 1))
             else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(W @ W.T / (n - 1))
                 w, Q = np.linalg.eigh(W @ W.T / (n - 1))
                 expect = Q[:, w > 0.0] * np.sqrt(w[w > 0.0])
             assert F.shape == expect.shape
             assert F.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("k", [0, -10], ids=["x2=x1", "x2=x1*2^-10"])
+    def test_singular_gram_keeps_the_eigh_factor(self, k):
+        # x2 = 2^k x1 makes the fourth-moment Gram singular in both groups
+        # (n > p = 6), so Cholesky refuses it and F and U keep the bytes of
+        # the factor from the Gram's eigenvectors
+        rng = np.random.default_rng(5)
+        groups = tuple(
+            np.vstack([X[:1], np.ldexp(X[:1], k), X[2:]])
+            for X in (rng.standard_normal((3, 30)), rng.standard_normal((3, 40)))
+        )
+        est = pool_estimates(GroupedSample(groups))
+        for X, v, r, F, U in zip(groups, est.vhat, est.rhat, est.Sigma_factor, est.Upsilon_factor):
+            n, W = X.shape[1], fancy_indexed_products(X)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(W @ W.T / (n - 1))
+            w, Q = np.linalg.eigh(W @ W.T / (n - 1))
+            expect = Q[:, w > 0.0] * np.sqrt(w[w > 0.0])
+            assert F.tobytes() == expect.tobytes()
+            # U = 0 + the three Jacobian terms, summed in order
+            terms = _jacobian_terms(np.diag(unvech(v)), r)
+            expect_U = 0.0 + terms[0][1][:, None] * expect[terms[0][0]]
+            expect_U += terms[1][1][:, None] * expect[terms[1][0]]
+            expect_U += terms[2][1][:, None] * expect[terms[2][0]]
+            assert U.tobytes() == expect_U.tobytes()
 
     def test_half_vectors_are_read_only(self, rng):
         # vech and vech_strict hand out read-only half-vectors

@@ -1,9 +1,10 @@
-"""Invariance relations of the structure catalog.
+"""Invariance relations of the hypothesis catalog.
 
 Each relation is stated once and run over every entry of ``STRUCTURES``
-with every engine that applies (TAY takes correlation targets only).  The
-data are one group at d = 4: n = 8 runs the estimation branch with
-n <= d(d+1)/2 and n = 40 the one with n > d(d+1)/2.
+(the last one over every correlation entry) with every engine that
+applies (TAY takes correlation targets only).  The data are one group at
+d = 4: n = 8 runs the estimation branch with n <= d(d+1)/2 and n = 40 the
+one with n > d(d+1)/2.
 
 - A common scale 2^k is exact in floating point, so it leaves the
   statistic, the p-value and the critical value byte-identical.
@@ -11,6 +12,9 @@ n <= d(d+1)/2 and n = 40 the one with n > d(d+1)/2.
   and autoregressive ones included, so it keeps the statistic to 1e-12.
 - Entries that state the same null report one statistic, p-value and
   critical value.
+- One variable times 2^k leaves every correlation entry, with every
+  engine, and the combined test's beta and block p-values byte-identical,
+  in both branches; this relation runs on two groups per branch.
 
 A relation that fails today is a strict xfail whose reason gives the
 measured size of the failure and the ROADMAP item that would mend it.
@@ -21,11 +25,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from covartest.combined import combined_test
 from covartest.engine import run_test
 from covartest.estimation import GroupedSample
 from covartest.hypotheses import (
     CORRELATION,
     COVARIANCE,
+    PREDEFINED,
     STRUCTURES,
     predefined_hypothesis,
     structure_hypothesis,
@@ -43,7 +49,8 @@ def _draw(V):
 
 
 # the AR(0.5) design, and i.i.d. normal data
-AR_SAMPLES = _draw(0.5 ** np.abs(np.subtract.outer(np.arange(D), np.arange(D))))
+AR_DESIGN = 0.5 ** np.abs(np.subtract.outer(np.arange(D), np.arange(D)))
+AR_SAMPLES = _draw(AR_DESIGN)
 IID_SAMPLES = _draw(np.eye(D))
 
 
@@ -144,3 +151,46 @@ SAME_NULL = [
 def test_one_statistic_per_null(first, second, method, n):
     X = IID_SAMPLES[n]
     assert _report(X, first, method) == _report(X, second, method)
+
+
+# two groups per branch from the AR(0.5) design, n_i <= 10 and n_i > 10,
+# drawn in turn from one default_rng(2) stream
+PAIR_SIZES = ((8, 9), (40, 45))
+_PAIR_RNG = np.random.default_rng(2)
+AR_PAIRS = {sizes: tuple(gaussian_sample(_PAIR_RNG, AR_DESIGN, n) for n in sizes)
+            for sizes in PAIR_SIZES}
+
+# every correlation entry as (name, groups), and the combined test
+ONE_VARIABLE_CASES = [
+    pytest.param(name, a, method, id=f"{name}-{a}-{method}")
+    for name, a in [
+        *((name, 1) for name in STRUCTURES[CORRELATION]),
+        *((name, a) for name, groups in PREDEFINED[CORRELATION].items()
+          for a in ((1, 2) if groups == "any" else (1,))),
+    ]
+    for method in _methods(CORRELATION)
+] + [pytest.param("combined", 2, None, id="combined")]
+
+
+@pytest.mark.parametrize("k", [-100, -30, 20])
+@pytest.mark.parametrize("sizes", PAIR_SIZES, ids=["narrow", "wide"])
+@pytest.mark.parametrize("name,a,method", ONE_VARIABLE_CASES)
+def test_one_variables_units_are_exact_on_correlations(name, a, method, sizes, k):
+    # x1 * 2^k scales the covariance factor's rows by powers of two, which
+    # M's 1/v entries undo exactly, so nothing on the correlation scale
+    # moves; the combined test's variance component for x1 scales by
+    # 2^(2k), and its band with it
+    groups = AR_PAIRS[sizes][:a]
+    scaled = tuple(np.vstack([np.ldexp(X[:1], k), X[1:]]) for X in groups)
+    if name == "combined":
+        base, moved = (combined_test(GroupedSample(g), seed=1) for g in (groups, scaled))
+        assert moved.statistic[1:].tobytes() == base.statistic[1:].tobytes()
+        assert moved.statistic[0] == np.ldexp(base.statistic[0], 2 * k)
+        assert (moved.beta_tilde, moved.p_variances, moved.p_correlations) == (
+            base.beta_tilde, base.p_variances, base.p_correlations)
+    else:
+        spec = (structure_hypothesis(name, CORRELATION, D) if name in STRUCTURES[CORRELATION]
+                else predefined_hypothesis(name, CORRELATION, a, D))
+        base, moved = (run_test(GroupedSample(g), spec, method=method, seed=1) for g in (groups, scaled))
+        assert (moved.statistic, moved.p_value, moved.critical_value) == (
+            base.statistic, base.p_value, base.critical_value)

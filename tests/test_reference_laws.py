@@ -33,17 +33,18 @@ from covartest.engine import (
     run_test,
     taylor_reference,
 )
-from covartest.estimation import GroupedSample, pool_estimates
+from covartest.estimation import GroupedSample, MomentEstimates, pool_estimates
 from covartest.hypotheses import (
     COVARIANCE,
     CORRELATION,
     predefined_hypothesis,
     structure_hypothesis,
 )
-from covartest.linalg import vech_diag_positions
+from covartest.linalg import full_length, vech_diag_positions
 from conftest import gaussian_sample, make_spd
 from reference_loops import (
     bootstrap_reference_loop,
+    correlation_jacobian,
     dense_sigma,
     mc_reference_loop,
     simulate_reference_loop,
@@ -318,6 +319,52 @@ def test_combined_stream_is_pinned_across_a_block_boundary():
     # agree up to rounding
     old = np.vstack([Z[0] @ K[0].T + Z[1] @ K[1].T for Z, _ in blocks])
     assert np.abs(draws - old).max() <= 1e-12 * np.abs(draws).max()
+
+
+def eigh_estimates(sample, est):
+    """``est`` with each group's F taken from the eigenvectors of its
+    fourth-moment Gram, as the factor was before it became a Cholesky
+    factor, and U = M F with the dense Jacobian M."""
+    factors, upsilon = [], []
+    for X, v in zip(sample.groups, est.vhat):
+        n = X.shape[1]
+        Xc = X - X.mean(axis=1, keepdims=True)
+        rows, cols = np.triu_indices(X.shape[0])
+        W = Xc[rows] * Xc[cols]
+        W -= W.mean(axis=1, keepdims=True)
+        w, Q = np.linalg.eigh(W @ W.T / (n - 1))
+        F = Q[:, w > 0.0] * np.sqrt(w[w > 0.0])
+        factors.append(F)
+        upsilon.append(correlation_jacobian(v) @ F)
+    return MomentEstimates(d=est.d, n=est.n, vhat=est.vhat, Sigma_factor=tuple(factors),
+                           rhat=est.rhat, Upsilon_factor=tuple(upsilon))
+
+
+@pytest.mark.parametrize("d, n", [
+    (3, (30, 45)),
+    (6, (60, 80)),
+    (6, (30, 40, 50)),
+    (12, (200, 200)),
+], ids=["d3", "d6", "d6-three-groups", "d12-bt-shape"])
+def test_cholesky_factor_keeps_the_law_of_the_eigh_factor(d, n):
+    # with n_i > p each F_i is the Cholesky factor of the fourth-moment
+    # Gram; the laws read only spectra of products of the F_i, so they
+    # equal those built from the eigenvector factor it replaced
+    sample = sample_of(909 + d, d, n)
+    est = pool_estimates(sample)
+    assert min(n) > full_length(d)
+    assert all(np.array_equal(F, np.tril(F)) for F in est.Sigma_factor)
+    old = eigh_estimates(sample, est)
+    for target, name in ((COVARIANCE, "equal"), (CORRELATION, "equal-correlated")):
+        spec = predefined_hypothesis(name, target, len(n), d)
+        new_c, old_c = _contrast(spec, est), _contrast(spec, old)
+        assert new_c.trace == pytest.approx(old_c.trace, rel=1e-12, abs=0.0)
+        # MC's weights are TAY's
+        assert_close_weights(_law(new_c, "MC")[0], _law(old_c, "MC")[0])
+        (w, mu, df), (w_old, mu_old, df_old) = _law(new_c, "BT"), _law(old_c, "BT")
+        assert_close_weights(w, w_old)
+        assert_close_weights(mu, mu_old)
+        assert np.array_equal(df, df_old)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

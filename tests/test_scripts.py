@@ -37,6 +37,8 @@ def test_script_runs(argv):
     ["--scale2", "-1"],
     ["--scale2", "0"],  # a constant second group
     ["--d", "x"],
+    ["--scale2", "1e300"],  # finite, but the fourth moments overflow
+    ["--design", "ar", "--rho", "1e300"],
 ])
 def test_size_study_rejects_bad_numbers_in_one_line(args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "size_study.py"), *args],
