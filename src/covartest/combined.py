@@ -37,11 +37,10 @@ from .engine import (
     _factored_contrast,
     _normalize_seed,
     _root_rng,
-    _row_blocks,
     _warn_coarse,
 )
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
-from .linalg import vech_diag_positions
+from .linalg import _row_blocks, vech_diag_positions
 
 # array entries per block of reference draws, which are written straight
 # into the output with no P-wide temporary; the constant only sets the rows

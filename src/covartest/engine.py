@@ -49,6 +49,7 @@ import numpy as np
 
 from .estimation import GroupedSample, MomentEstimates, _check_in_range, pool_estimates
 from .hypotheses import CORRELATION, COVARIANCE, HypothesisSpec
+from .linalg import _row_blocks
 
 _METHODS = ("MC", "BT", "TAY")
 
@@ -75,14 +76,6 @@ def _normalize_seed(seed: int | None) -> int:
 
 def _root_rng(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=_normalize_seed(seed)))
-
-
-def _row_blocks(B: int, width: int, elements: int):
-    """Consecutive (lo, hi) ranges covering B rows of a width-wide array,
-    about ``elements`` entries at a time."""
-    step = max(elements // max(width, 1), 1)
-    for lo in range(0, B, step):
-        yield lo, min(lo + step, B)
 
 
 def _weighted_chisquare(

@@ -10,11 +10,13 @@ min(n_i, p) columns), and the factor U_i = M_i F_i of the correlation-scale
 covariance ``Upsilon``.  M_i is the delta-method Jacobian mapping
 covariance coordinates to correlation coordinates; it has three nonzeros
 per row, so U_i is formed row by row from three rows of F_i and M_i is
-never built.  For n_i > p, F_i is Sigma_i's Cholesky factor, whose rows
-a variable's units scale as they scale Sigma_i's, exactly for powers of
-two, and M_i undoes that.  The engines and the combined test work on
-these factors alone: their references take the estimates only, never the
-raw sample.  The block-diagonal pools of the dense matrices with weights
+never built.  The p x n_i products behind Sigma_i are held one block of
+columns at a time, centred beyond one block by means from V's product.
+For n_i > p, F_i is Sigma_i's Cholesky factor, whose rows a variable's
+units scale as they scale Sigma_i's, exactly for powers of two, and M_i
+undoes that.  The engines and the combined test work on these factors
+alone: their references take the estimates only, never the raw sample.
+The block-diagonal pools of the dense matrices with weights
 N/n_i are built from the stored factors on every access.  The
 half-vectors ``pool_estimates`` returns are read-only 1-D arrays.  The
 estimates store the arrays they are given, without a copy, and cache
@@ -27,7 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import full_length, vech, vech_pairs, vech_strict
+from .linalg import _row_blocks, full_length, vech, vech_pairs, vech_strict
+
+# entries per column block of a group's fourth-moment products W; a block
+# is at least 4p columns wide, as narrower ones slow the Gram's updates
+_GRAM_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,8 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     (F @ F.T = Sigma): the recentred outer products over sqrt(n - 1) when
     n <= p, else the Cholesky factor of the p x p estimate or, where
     Cholesky refuses it as singular, its eigenvectors times the roots of
-    their positive eigenvalues.  U = M F is the correlation-scale factor.
+    their positive eigenvalues.  The p x n products W are held one block
+    of columns at a time.  U = M F is the correlation-scale factor.
     rhat and U are None without ``correlation``.  Data so large that V or
     the p x p estimate overflows raise ValueError.
     """
@@ -180,22 +187,29 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     Xc = X - X.mean(axis=1, keepdims=True)
     # a product with its own transpose runs as a symmetric rank-k update,
     # so V (and every F @ F.T downstream) is exactly symmetric
-    V = Xc @ Xc.T / (n - 1)
+    S = Xc @ Xc.T
+    V = S / (n - 1)
     _check_in_range(V, "covariance")
     vhat = vech(V)
-    # W's rows are the products Xc[j] * Xc[k], j <= k, in vech order,
-    # written row slice by row slice without copying Xc
     p = full_length(d)
-    W = np.empty((p, n))
-    lo = 0
-    for j in range(d):
-        np.multiply(Xc[j], Xc[j:], out=W[lo:lo + d - j])
-        lo += d - j
-    W -= W.mean(axis=1, keepdims=True)
+    blocks = list(_row_blocks(n, p, max(_GRAM_ELEMENTS, 4 * p * p)))
+    # W's rows are the products Xc[j] * Xc[k], j <= k, in vech order, over
+    # one block of columns at a time; one block is centred by its own row
+    # means, several by vech(S)/n, the same means, so each is formed once
+    mean = S[vech_pairs(d)][:, None] / n if len(blocks) > 1 else None
+    buf, G = np.empty(p * blocks[0][1]), 0.0
+    for lo, hi in blocks:
+        Xb, W, row = Xc[:, lo:hi], buf[:p * (hi - lo)].reshape(p, hi - lo), 0
+        for j in range(d):
+            np.multiply(Xb[j], Xb[j:], out=W[row:row + d - j])
+            row += d - j
+        W -= W.mean(axis=1, keepdims=True) if mean is None else mean
+        if n > p:
+            G += W @ W.T
     if n <= p:
         F = np.divide(W, np.sqrt(n - 1), out=W)
     else:
-        G = W @ W.T / (n - 1)
+        G /= n - 1
         _check_in_range(G, "fourth-moment covariance")
         try:
             F = np.linalg.cholesky(G)

@@ -64,6 +64,14 @@ def vech_diag_positions(d: int) -> np.ndarray:
     return np.flatnonzero(rows == cols)
 
 
+def _row_blocks(B: int, width: int, elements: int):
+    """Consecutive (lo, hi) ranges covering B rows of a width-wide array,
+    about ``elements`` entries at a time."""
+    step = max(elements // max(width, 1), 1)
+    for lo in range(0, B, step):
+        yield lo, min(lo + step, B)
+
+
 def centering_matrix(n: int) -> np.ndarray:
     """The projection I_n - J_n/n removing the mean of an n-vector."""
     if n < 1:

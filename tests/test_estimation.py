@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from covartest import estimation
 from covartest.combined import combined_test, simulate_reference
-from covartest.engine import run_test
+from covartest.engine import _contrast, _law, run_test
 from covartest.estimation import GroupedSample, MomentEstimates, _jacobian_terms, pool_estimates
 from covartest.hypotheses import CORRELATION, COVARIANCE, predefined_hypothesis
 from covartest.linalg import full_length, strict_length, vech, vech_diag_positions, vech_strict
@@ -518,3 +521,152 @@ class TestPooling:
         assert str(exc.value) == (
             "the data's magnitude is out of floating-point range: its product of variances underflows"
         )
+
+
+# ------------------------------------------------- blocked fourth-moment Gram
+
+def block_width(d):
+    """Columns per block of a group's fourth-moment products at dimension d."""
+    p = full_length(d)
+    return max(estimation._GRAM_ELEMENTS, 4 * p * p) // p
+
+
+@pytest.fixture
+def one_block(monkeypatch):
+    """A runner that calls ``fn`` with every group held in one block of columns."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_GRAM_ELEMENTS", 1 << 62)
+            return fn(*args, **kwargs)
+    return run
+
+
+def assert_relative(actual, expect, rel=1e-12):
+    assert actual.shape == expect.shape
+    assert np.abs(actual - expect).max() <= rel * np.abs(expect).max()
+
+
+class TestBlockedGram:
+    # at d = 6 (p = 21) a block holds 12,483 columns, so a group of 30,007
+    # spans three blocks, the last one ragged
+    D, N = 6, 30_007
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["cholesky", "eigh"])
+    def test_factor_matches_the_oracle(self, collinear):
+        # F F^T is the fourth-moment covariance of the literal definition,
+        # whether F is the Cholesky factor or, for the singular Gram of
+        # x2 = x1, the factor from its eigenvectors
+        X = np.random.default_rng(7).standard_normal((self.D, self.N))
+        if collinear:
+            X[1] = X[0]
+        (F,) = pool_estimates(GroupedSample((X,))).Sigma_factor
+        if collinear:
+            assert F.shape[1] < full_length(self.D)
+        else:
+            assert np.array_equal(F, np.tril(F))
+        assert_relative(F @ F.T, group_fourth_moment_cov(X))
+
+    @pytest.mark.parametrize("d, width", [(6, 12_483), (23, 4 * 276)], ids=["d6", "d23-4p"])
+    def test_block_boundary(self, monkeypatch, d, width):
+        # a group of exactly one block's width keeps the bytes of the whole
+        # W centred by its own means; one more column takes two blocks.  At
+        # d = 23 (p = 276) a block is 4p columns, more than 2^18 entries
+        assert block_width(d) == width
+        calls, row_blocks = [], estimation._row_blocks
+
+        def spy(*args):
+            calls.append(list(row_blocks(*args)))
+            return iter(calls[-1])
+
+        monkeypatch.setattr(estimation, "_row_blocks", spy)
+        X = np.random.default_rng(8).standard_normal((d, width + 1))
+        (F,) = pool_estimates(GroupedSample((X[:, :width],)), include_correlation=False).Sigma_factor
+        W = fancy_indexed_products(X[:, :width])
+        assert F.tobytes() == np.linalg.cholesky(W @ W.T / (width - 1)).tobytes()
+        (F,) = pool_estimates(GroupedSample((X,)), include_correlation=False).Sigma_factor
+        assert calls == [[(0, width)], [(0, width), (width, width + 1)]]
+        assert_relative(F @ F.T, group_fourth_moment_cov(X))
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["cholesky", "eigh"])
+    def test_laws_match_the_one_block_factor(self, one_block, collinear):
+        # MC's and TAY's weights, BT's weights, mu and df read the same law
+        # off the blocked factor as off the one-block factor
+        rng = np.random.default_rng(9)
+        groups = tuple(gaussian_sample(rng, make_spd(rng, self.D), n) for n in (30_000, 27_001))
+        if collinear:
+            for X in groups:
+                X[1] = X[0]
+        sample = GroupedSample(groups)
+        blocked, whole = pool_estimates(sample), one_block(pool_estimates, sample)
+        for target, name in ((COVARIANCE, "equal"), (CORRELATION, "equal-correlated")):
+            spec = predefined_hypothesis(name, target, 2, self.D)
+            new_c, old_c = _contrast(spec, blocked), _contrast(spec, whole)
+            assert new_c.trace == pytest.approx(old_c.trace, rel=1e-12, abs=0.0)
+            assert_relative(_law(new_c, "MC")[0], _law(old_c, "MC")[0])
+            (w, mu, df), (w_old, mu_old, df_old) = _law(new_c, "BT"), _law(old_c, "BT")
+            assert_relative(w, w_old)
+            assert_relative(mu, mu_old)
+            assert np.array_equal(df, df_old)
+
+    @staticmethod
+    def _outcomes(sample):
+        """MC, BT and TAY (statistic, p-value, critical value) and the
+        combined test's (beta, p-values, statistic), or the error each
+        raises, under the command line's error state."""
+        out = []
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for method, target, name in (("MC", COVARIANCE, "equal"), ("BT", COVARIANCE, "equal"),
+                                         ("TAY", CORRELATION, "equal-correlated")):
+                try:
+                    r = run_test(sample, predefined_hypothesis(name, target, 2, sample.d),
+                                 method=method, repetitions=500, seed=1)
+                    out.append((r.statistic, r.p_value, r.critical_value))
+                except (ValueError, FloatingPointError) as exc:
+                    out.append(repr(exc))
+            try:
+                r = combined_test(sample, repetitions=500, seed=1)
+                out.append((r.beta_tilde, r.p_variances, r.p_correlations, r.statistic.tobytes()))
+            except (ValueError, FloatingPointError) as exc:
+                out.append(repr(exc))
+        return out
+
+    @pytest.mark.parametrize("design", ["constant", "binary", "1e150", "1e-120", "x1*1e-80"])
+    def test_degenerate_data_run_as_in_one_block(self, one_block, design):
+        # each p-value, the combined test's beta, p-values and statistic,
+        # and each error are those of the one-block path; statistics and
+        # critical values agree up to the rounding of the factor's trace
+        rng = np.random.default_rng(1)
+        groups = tuple(rng.standard_normal((self.D, n)) for n in (30_000, 30_007))
+        for X in groups:
+            if design == "constant":
+                X[0] = 3.0
+            elif design == "binary":
+                X[0] = np.where(X[0] > 0.0, 1.0, -1.0)
+            elif design == "x1*1e-80":
+                X[0] *= 1e-80
+            else:
+                X *= float(design)
+        sample = GroupedSample(groups)
+        blocked, whole = self._outcomes(sample), one_block(self._outcomes, sample)
+        assert [type(x) for x in blocked] == [type(x) for x in whole]
+        for x, y in zip(blocked[:3], whole[:3]):
+            if isinstance(x, str):
+                assert x == y
+            else:
+                assert x[1] == y[1]
+                assert x[0] == pytest.approx(y[0], rel=1e-12, abs=0.0)
+                assert x[2] == pytest.approx(y[2], rel=1e-12, abs=0.0)
+        assert blocked[3] == whole[3]
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # two groups at d = 12 (p = 78) of 50,000: the whole W would be
+        # 31 MB per group, against a 2 MB block buffer
+        rng = np.random.default_rng(10)
+        sample = GroupedSample(tuple(rng.standard_normal((12, 50_000)) for _ in range(2)))
+        tracemalloc.start()
+        try:
+            pool_estimates(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

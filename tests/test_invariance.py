@@ -16,6 +16,10 @@ one with n > d(d+1)/2.
   engine, and the combined test's beta and block p-values byte-identical,
   in both branches; this relation runs on two groups per branch.
 
+The common scale and the one-variable relation also run on groups at
+d = 6 wide enough that their fourth-moment products are summed block by
+block of columns.
+
 A relation that fails today is a strict xfail whose reason gives the
 measured size of the failure and the ROADMAP item that would mend it.
 """
@@ -192,5 +196,48 @@ def test_one_variables_units_are_exact_on_correlations(name, a, method, sizes, k
         spec = (structure_hypothesis(name, CORRELATION, D) if name in STRUCTURES[CORRELATION]
                 else predefined_hypothesis(name, CORRELATION, a, D))
         base, moved = (run_test(GroupedSample(g), spec, method=method, seed=1) for g in (groups, scaled))
+        assert (moved.statistic, moved.p_value, moved.critical_value) == (
+            base.statistic, base.p_value, base.critical_value)
+
+
+# groups wider than one block of fourth-moment products (12,483 columns at
+# d = 6), the last block ragged, from the AR(0.5) design at d = 6, drawn in
+# turn from one default_rng(3) stream
+BLOCKED_D = 6
+_BLOCKED_RNG = np.random.default_rng(3)
+BLOCKED_PAIR = tuple(
+    gaussian_sample(_BLOCKED_RNG, 0.5 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6))), n)
+    for n in (30_000, 27_001)
+)
+
+
+@pytest.mark.parametrize("target,name,method", _cases(SCALE_FAILURES))
+def test_power_of_two_scale_is_exact_beyond_one_block(target, name, method):
+    # the blocked Gram centres W by vech(S)/n, which a power of two scales
+    # exactly, as it scales W's own means
+    X = BLOCKED_PAIR[1]
+    spec = structure_hypothesis(name, target, BLOCKED_D)
+    base = _report(X, spec, method)
+    for k in (-40, 40):
+        assert _report(np.ldexp(X, k), spec, method) == base, k
+
+
+@pytest.mark.parametrize("k", [-100, -30, 20])
+@pytest.mark.parametrize("name,a,method", ONE_VARIABLE_CASES)
+def test_one_variables_units_are_exact_beyond_one_block(name, a, method, k):
+    groups = BLOCKED_PAIR[:a]
+    scaled = tuple(np.vstack([np.ldexp(X[:1], k), X[1:]]) for X in groups)
+    if name == "combined":
+        base, moved = (combined_test(GroupedSample(g), seed=1) for g in (groups, scaled))
+        assert moved.statistic[1:].tobytes() == base.statistic[1:].tobytes()
+        assert moved.statistic[0] == np.ldexp(base.statistic[0], 2 * k)
+        assert (moved.beta_tilde, moved.p_variances, moved.p_correlations) == (
+            base.beta_tilde, base.p_variances, base.p_correlations)
+    else:
+        spec = (structure_hypothesis(name, CORRELATION, BLOCKED_D)
+                if name in STRUCTURES[CORRELATION]
+                else predefined_hypothesis(name, CORRELATION, a, BLOCKED_D))
+        base, moved = (run_test(GroupedSample(g), spec, method=method, seed=1)
+                       for g in (groups, scaled))
         assert (moved.statistic, moved.p_value, moved.critical_value) == (
             base.statistic, base.p_value, base.critical_value)
