@@ -21,7 +21,7 @@ from covartest import GroupedSample
 from covartest.cli import main as cli_main, write_csv
 
 
-def make_dataset(path: Path) -> None:
+def make_dataset(path: Path) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(42)
     idx = np.arange(3)
     V1 = 0.6 ** np.abs(idx[:, None] - idx[None, :])

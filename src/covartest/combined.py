@@ -6,10 +6,10 @@ half-vectors, whose per-group factors P_i are the variance rows of the
 covariance factor F_i on top of the correlation-scale factor M_i F_i.
 The engine's contrast builder weights them, under the engine's trace rule,
 into G = [sqrt(N/n_0) P_0, -sqrt(N/n_1) P_1], and each block of reference
-draws is the one product [Z_0 Z_1] G^T, with standard normal Z_i, group
-0's drawn first.  All repetitions come from one generator rooted at the
-seed, a block of rows at a time, so a rerun with the same seed is
-byte-identical.  The draws are stored component-major, so each
+draws is the one product Z G^T, with Z one standard normal draw of the
+block's rows, filled in C order from one generator rooted at the seed:
+the normals do not depend on the block size, and a rerun with the same
+seed is byte-identical.  The draws are stored component-major, so each
 component's B draws, which the bands sort, are contiguous.
 A single miscoverage level beta is calibrated so that the familywise
 rejection rate over all components, estimated on the reference draws
@@ -42,9 +42,10 @@ from .engine import (
 from .estimation import GroupedSample, MomentEstimates, pool_estimates
 from .linalg import _row_blocks, vech_diag_positions
 
-# array entries per block of reference draws, which are written straight
-# into the output with no P-wide temporary; the constant only sets the rows
-# per block, and the draws for a given seed depend on it
+# array entries per block of reference draws, written straight into the
+# output; numpy fills each block element by element in C order, so the
+# variates for a given seed do not depend on this size, though BLAS may
+# round the products of differently sized blocks apart in the last bit
 _FACTOR_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -79,10 +80,10 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     Each group's normal vector on the covariance scale is mapped to the
     variance/correlation scale by its stacked factor [F_i[diag]; M_i F_i],
     weighted into the engine's contrast G, formed once: a block of draws is
-    [Z_0 Z_1] G^T, with Z_0 and Z_1 drawn into one buffer, written into a
-    P x B array whose transpose is returned, so each component's draws are
-    contiguous.  A contrast whose trace is rounding residue, by the
-    engine's relative rule, raises ``ValueError``.
+    Z G^T, Z one C-order draw of standard normals with a row per draw,
+    written into a P x B array whose transpose is returned, so each
+    component's draws are contiguous.  A contrast whose trace is rounding
+    residue, by the engine's relative rule, raises ``ValueError``.
     """
     _check_estimates(est)
     _check_repetitions(B)
@@ -94,15 +95,8 @@ def simulate_reference(est: MomentEstimates, B: int, seed: int) -> np.ndarray:
     rng = _root_rng(seed)
     G = c.G()
     out = np.empty((G.shape[0], B))
-    blocks = list(_row_blocks(B, out.shape[0], _FACTOR_CHUNK_ELEMENTS))
-    # one buffer for the first, largest block; each group's normals are
-    # assigned into its columns, so only one group's draw is alive beside it
-    z = np.empty((blocks[0][1], G.shape[1]))
-    splits = np.cumsum([P_i.shape[1] for P_i in c.P[:-1]])
-    for lo, hi in blocks:
-        for Z_i in np.split(z[:hi - lo], splits, axis=1):
-            Z_i[...] = rng.standard_normal(Z_i.shape)
-        np.matmul(G, z[:hi - lo].T, out=out[:, lo:hi])
+    for lo, hi in _row_blocks(B, out.shape[0], _FACTOR_CHUNK_ELEMENTS):
+        np.matmul(G, rng.standard_normal((hi - lo, G.shape[1])).T, out=out[:, lo:hi])
     return out.T
 
 

@@ -227,14 +227,7 @@ def _group_estimates(X: np.ndarray, correlation: bool):
     R = np.clip(V / np.outer(sd, sd), -1.0, 1.0)
     np.fill_diagonal(R, 1.0)
     rhat = vech_strict(R)
-    # U = 0 + sum of the three terms c[:, None] * F[cols], in that order,
-    # from one buffer of the selected rows; 0.0 + -0.0 is +0.0
-    terms = _jacobian_terms(var, rhat)
-    T = np.take(F, np.concatenate([cols for cols, _ in terms]), axis=0).reshape(3, -1, F.shape[1])
-    T *= np.stack([c for _, c in terms])[:, :, None]
-    U = T[0] + 0.0
-    U += T[1]
-    U += T[2]
+    U = sum(c[:, None] * F[cols] for cols, c in _jacobian_terms(var, rhat))
     return vhat, F, rhat, U
 
 

@@ -451,9 +451,9 @@ class TestRuns:
             ["--target", "combined", "--seed", "17"],
             "Combined variance/correlation test\n"
             "Groups:                2 (n = 30, 35)\n"
-            "p-value variances:     p = 0.635\n"
-            "p-value correlations:  p = 0.305\n"
-            "p-value total:         p = 0.305\n"
+            "p-value variances:     p = 0.563\n"
+            "p-value correlations:  p = 0.327\n"
+            "p-value total:         p = 0.327\n"
             "Method:                TAY, B = 600\n"
             "Seed:                  17\n",
         ),

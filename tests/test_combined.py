@@ -423,6 +423,20 @@ class TestCombinedTest:
         assert record[0].filename == __file__
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: calibrate_beta(np.empty((0, 3)), 0.05), "draws must be a nonempty B x P array"),
+    (
+        lambda: combined_test(two_groups(np.random.default_rng(2)), repetitions=10, alpha=1.0),
+        "alpha must lie in (0, 1), got 1.0",
+    ),
+], ids=["calibrate-empty-draws", "combined-alpha-1"])
+def test_input_checks_raise_their_messages(call, message):
+    # input checks that no other in-process test reaches, each with its message
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestNullSize:
     @pytest.mark.xfail(
         strict=True,

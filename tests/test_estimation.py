@@ -302,6 +302,29 @@ class TestGroupedSample:
             GroupedSample((X,))
 
 
+def one_group(d):
+    return GroupedSample((np.random.default_rng(3).standard_normal((d, 10)),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GroupedSample(()), "a grouped sample needs at least one group"),
+    (lambda: GroupedSample((np.ones(5),)), "group 1 must be a 2-d array, got ndim=1"),
+    (
+        lambda: pool_estimates(one_group(3), include_correlation=False).rhat_pooled,
+        "correlation estimates were not computed",
+    ),
+    (
+        lambda: pool_estimates(one_group(1), include_correlation=True),
+        "correlation vectorization needs d >= 2",
+    ),
+], ids=["no-groups", "1-d-group", "rhat-without-correlation", "correlation-at-d1"])
+def test_input_checks_raise_their_messages(call, message):
+    # input checks that no other in-process test reaches, each with its message
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def fancy_indexed_products(X):
     """Recentred outer products Xc[j] * Xc[k], j <= k, taken by fancy indexing."""
     Xc = X - X.mean(axis=1, keepdims=True)

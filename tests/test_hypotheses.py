@@ -447,6 +447,45 @@ class TestCustomSpec:
         C = np.array(spec.C)
         assert custom_hypothesis(C, spec.zeta, COVARIANCE, 3, 4).C is C
 
+
+def spec_of(a=1, d=2, dense=None):
+    return HypothesisSpec(
+        target=COVARIANCE, dense=np.ones((1, 3)) if dense is None else dense, zeta=None,
+        label="x", a=a, d=d,
+    )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spec_of(a=0), "group count must be positive, got 0"),
+    (lambda: spec_of(d=0), "dimension must be positive, got 0"),
+    (lambda: spec_of(dense=np.empty((0, 3))), "C needs at least one row"),
+    (lambda: structure_hypothesis("ar", "precision", 3), "unknown target 'precision'"),
+    (lambda: predefined_hypothesis("equal", "precision", 2, 3), "unknown target 'precision'"),
+    (lambda: predefined_hypothesis("equal", COVARIANCE, 0, 3), "group count must be positive, got 0"),
+    (
+        lambda: predefined_hypothesis("equal-correlated", CORRELATION, 2, 1),
+        "correlation hypotheses need d >= 2",
+    ),
+    (
+        lambda: predefined_hypothesis("uncorrelated", COVARIANCE, 1, 1),
+        "hypothesis 'uncorrelated' needs d >= 2",
+    ),
+    (
+        lambda: predefined_hypothesis("given-matrix", COVARIANCE, 1, 3),
+        "hypothesis 'given-matrix' needs the target matrix",
+    ),
+], ids=[
+    "spec-a0", "spec-d0", "spec-zero-row-C", "structure-unknown-target",
+    "predefined-unknown-target", "predefined-a0", "correlation-d1", "uncorrelated-d1",
+    "given-matrix-without-matrix",
+])
+def test_input_checks_raise_their_messages(call, message):
+    # input checks that no other in-process test reaches, each with its message
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------- README catalog
 
 def _readme_section(start: str, end: str) -> str:

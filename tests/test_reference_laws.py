@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from covartest import combined
 from covartest.combined import simulate_reference
 from covartest.engine import (
     _contrast,
@@ -287,11 +288,21 @@ def test_bt_denominator_takes_a_scalar_df_for_equal_groups(n):
     assert bootstrap_reference(spec, est, Bbt, seed=16).tobytes() == (num / expect).tobytes()
 
 
-def test_combined_stream_is_pinned_across_a_block_boundary():
+def combined_block_boundary_case():
     # d = 24 stacks 24 variances on 276 correlations, P = 300, so blocks
     # of 2**18 // 300 = 873 rows and B = 1000 spans two; groups of 40 and
     # 50 give the two normal vectors different lengths
     est = pool_estimates(sample_of(606, 24, (40, 50)))
+    diag = vech_diag_positions(24)
+    K = [
+        sign * np.sqrt(est.N / n_i) * np.vstack([F[diag], U])
+        for sign, n_i, F, U in zip((1.0, -1.0), est.n, est.Sigma_factor, est.Upsilon_factor)
+    ]
+    return est, K
+
+
+def test_combined_stream_is_pinned_across_a_block_boundary():
+    est, K = combined_block_boundary_case()
     Bc = 1000
     draws = simulate_reference(est, Bc, seed=17)
     P = draws.shape[1]
@@ -300,25 +311,36 @@ def test_combined_stream_is_pinned_across_a_block_boundary():
     # the draws are stored component-major, so each component's B draws
     # are contiguous for the sort along the repetitions
     assert draws.T.flags.c_contiguous
-    diag = vech_diag_positions(24)
-    K = [
-        sign * np.sqrt(est.N / n_i) * np.vstack([F[diag], U])
-        for sign, n_i, F, U in zip((1.0, -1.0), est.n, est.Sigma_factor, est.Upsilon_factor)
-    ]
     G = np.hstack(K)
-    # the contract: one root stream; in each block of rows, group 0's
-    # standard normals and then group 1's, side by side as z, give G z^T
+    # the contract: one root stream; each block of rows is one C-order
+    # draw z of standard normals, one row per repetition, giving G z^T
     rng = np.random.default_rng(np.random.SeedSequence(17))
     blocks = []
     for lo in range(0, Bc, step):
-        Z = [rng.standard_normal((min(step, Bc - lo), K_i.shape[1])) for K_i in K]
-        blocks.append((Z, G @ np.hstack(Z).T))
+        z = rng.standard_normal((min(step, Bc - lo), G.shape[1]))
+        blocks.append((z, G @ z.T))
     expect = np.hstack([GzT for _, GzT in blocks])
     assert draws.T.tobytes() == expect.tobytes()
     # the same variates through the per-group form Z_0 K_0^T + Z_1 K_1^T
     # agree up to rounding
-    old = np.vstack([Z[0] @ K[0].T + Z[1] @ K[1].T for Z, _ in blocks])
+    m0 = K[0].shape[1]
+    old = np.vstack([z[:, :m0] @ K[0].T + z[:, m0:] @ K[1].T for z, _ in blocks])
     assert np.abs(draws - old).max() <= 1e-12 * np.abs(draws).max()
+
+
+def test_combined_stream_does_not_depend_on_the_block_size(monkeypatch):
+    # numpy fills the normals in C order, so one block of all B rows draws
+    # the variates that two blocks of 873 and 127 rows draw
+    est, K = combined_block_boundary_case()
+    Bc = 1000
+    two = simulate_reference(est, Bc, seed=17)
+    monkeypatch.setattr(combined, "_FACTOR_CHUNK_ELEMENTS", 300 * Bc)
+    one = simulate_reference(est, Bc, seed=17)
+    # BLAS may round blocks of other sizes apart in the last bit only
+    assert np.abs(one - two).max() <= 1e-14 * np.abs(two).max()
+    G = np.hstack(K)
+    z = np.random.default_rng(np.random.SeedSequence(17)).standard_normal((Bc, G.shape[1]))
+    assert one.T.tobytes() == (G @ z.T).tobytes()
 
 
 def eigh_estimates(sample, est):
